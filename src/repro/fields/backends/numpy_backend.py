@@ -52,6 +52,24 @@ def numpy_or_none():
 
 _CL8 = None
 
+#: ``(k, modulus) -> (exp, log)`` int64 copies of a GF(2^k)'s shared
+#: tables (see :data:`repro.fields.gf2k._TABLES`), read-only
+_TABLE_ARRAYS = {}
+
+
+def _table_arrays(np, field):
+    """The int64 exp/log arrays of ``field``, built once per
+    ``(k, modulus)`` per process."""
+    key = (field.k, field.modulus)
+    arrays = _TABLE_ARRAYS.get(key)
+    if arrays is None:
+        arrays = (np.array(field._exp, dtype=np.int64),
+                  np.array(field._log, dtype=np.int64))
+        for array in arrays:
+            array.flags.writeable = False
+        _TABLE_ARRAYS[key] = arrays
+    return arrays
+
 
 def _cl8_table(np):
     """256x256 carry-less products of byte pairs (15-bit results).
@@ -86,8 +104,7 @@ class NumpyBackend:
         if kind == "gf2k":
             if field._exp is not None:
                 self._style = "gf2k_tables"
-                self._exp_arr = np.array(field._exp, dtype=np.int64)
-                self._log_arr = np.array(field._log, dtype=np.int64)
+                self._exp_arr, self._log_arr = _table_arrays(np, field)
             elif field.k <= 32:
                 # byte products peak at bit 8*(nbytes-1)*2 + 14 < 64
                 self._style = "gf2k_clmul"

@@ -97,6 +97,9 @@ class Field(ABC):
         #: bulk-kernel strategy object (see :mod:`repro.fields.backends`);
         #: None = no backend layer, bulk ops run as metered scalar loops
         self._backend = None
+        #: this instance's interpolation cache, made on first use by
+        #: :func:`repro.poly.barycentric.shared_cache`
+        self._interp_cache = None
 
     def _init_backend(self, backend: "str | None") -> None:
         """Attach the bulk-kernel backend ``backend`` names (see

@@ -11,14 +11,17 @@ that "in practice, when k is small, working over GF(2^k) with the naive
 O(k^2) multiplication is faster":
 
 * ``tables=True`` (default for k <= 16): log/exp tables over a generator,
-  one multiplication = one table add.  Setup is O(2^k).
+  one multiplication = one table add.  The O(2^k) table build runs once
+  per ``(k, modulus)`` per process; every instance of that field shares
+  the tables read-only (its :class:`~repro.fields.base.OpCounter` and
+  interpolation cache stay per instance).
 * ``tables=False``: naive shift-and-xor carry-less multiplication with
   modular reduction, O(k^2) bit operations, no setup cost; works for any k.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.fields.base import Field
 from repro.fields.irreducible import (
@@ -30,6 +33,10 @@ from repro.fields.irreducible import (
 
 _TABLE_MAX_K = 16
 _KARA_BASE_BITS = 32
+
+#: ``(k, modulus) -> (exp, log, generator)``, built once per process and
+#: shared read-only by every table-mode instance of that field
+_TABLES: Dict[Tuple[int, int], Tuple[List[int], List[int], int]] = {}
 
 
 def _base_clmul(a: int, b: int) -> int:
@@ -119,7 +126,10 @@ class GF2k(Field):
         if tables:
             if k > _TABLE_MAX_K:
                 raise ValueError(f"log/exp tables limited to k <= {_TABLE_MAX_K}")
-            self._build_tables()
+            shared = _TABLES.get((k, modulus))
+            if shared is None:
+                shared = _TABLES[(k, modulus)] = self._build_tables()
+            self._exp, self._log, self.generator = shared
         self._init_backend(backend)
 
     # -- internal ----------------------------------------------------------
@@ -141,8 +151,8 @@ class GF2k(Field):
                 a ^= mod
         return result
 
-    def _build_tables(self) -> None:
-        """Find a multiplicative generator and build exp/log tables."""
+    def _build_tables(self) -> Tuple[List[int], List[int], int]:
+        """Find a multiplicative generator; return ``(exp, log, generator)``."""
         group_order = self.order - 1
         factors = prime_factors(group_order) if group_order > 1 else []
         generator = None
@@ -161,9 +171,7 @@ class GF2k(Field):
             value = self._raw_mul(value, generator)
         for i in range(group_order, 2 * group_order):
             exp[i] = exp[i - group_order]
-        self._exp = exp
-        self._log = log
-        self.generator = generator
+        return exp, log, generator
 
     def _raw_pow(self, a: int, e: int) -> int:
         result = 1

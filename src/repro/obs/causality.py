@@ -44,19 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.net import codec
 from repro.net.metrics import payload_field_elements
 from repro.net.trace import payload_tag
 from repro.obs.bus import ROUND, RUN, SENT, EventBus
+from repro.obs.flight import WireKeys
 from repro.obs.phases import classify_tag
-
-
-def _wire_key(payload: Any) -> str:
-    """A hashable identity for a payload (codec hex, repr fallback)."""
-    try:
-        return codec.encode(payload).hex()
-    except codec.CodecError:
-        return repr(payload)
 
 
 @dataclass(frozen=True)
@@ -255,6 +247,8 @@ class CausalRecorder:
         self._dropped: List[DroppedEmission] = []
         #: (src, dst, wire) -> [(send_round, channel, tag, elements)]
         self._pending: Dict[Tuple[int, int, str], List[Tuple]] = {}
+        #: wire-key memo, renewed at each run marker
+        self._wire_keys = WireKeys()
         self._run = 0
         self._last_round = 0
         self._cur_round: Optional[int] = None
@@ -275,6 +269,7 @@ class CausalRecorder:
     # -- run delimiting (same contract as FlightRecorder) --------------------
     def on_run(self, n: int) -> None:
         self._flush_pending()
+        self._wire_keys = WireKeys()
         self._run += 1
         self._last_round = 0
         self._cur_round = None
@@ -307,7 +302,7 @@ class CausalRecorder:
             self._advance_run(round_no)
         for dst, src, payload, channel in emissions:
             self._pending.setdefault(
-                (src, dst, _wire_key(payload)), []
+                (src, dst, self._wire_keys(payload)), []
             ).append((round_no, channel, payload_tag(payload),
                       payload_field_elements(payload)))
 
@@ -316,7 +311,7 @@ class CausalRecorder:
             self._advance_run(round_no)
         run = self._run
         for dst, src, payload in deliveries:
-            key = (src, dst, _wire_key(payload))
+            key = (src, dst, self._wire_keys(payload))
             entries = self._pending.get(key)
             entry = None
             if entries:

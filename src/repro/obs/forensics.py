@@ -49,10 +49,10 @@ scenarios: each corrupt player is flagged, no honest player ever is
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.net.trace import payload_tag
-from repro.obs.flight import FlightLog
+from repro.obs.flight import FlightLog, WireKeys
 from repro.obs.phases import (
     UNICAST_PHASES,
     classify_tag,
@@ -120,15 +120,6 @@ class AccusationReport:
         return "\n".join(lines)
 
 
-def _payload_fingerprint(payload) -> str:
-    from repro.net import codec
-
-    try:
-        return codec.encode(payload).hex()
-    except codec.CodecError:
-        return repr(payload)
-
-
 def analyze_log(log: FlightLog, field=None,
                 t: Optional[int] = None) -> AccusationReport:
     """Run every forensic rule over ``log``; returns the report.
@@ -149,17 +140,18 @@ def analyze_log(log: FlightLog, field=None,
 
     # the highest pipeline stage a sender quorum has reached, per run
     run_stage: Dict[int, int] = {}
+    wire_keys = WireKeys()
 
     for event in log.rounds:
-        # sender -> tag -> {dst: [payload fingerprints]}
-        by_sender: Dict[int, Dict[str, Dict[int, List[str]]]] = {}
+        # sender -> tag -> {dst: first payload}
+        by_sender: Dict[int, Dict[str, Dict[int, Any]]] = {}
         # tag -> set of senders (for quorum and off-protocol rules)
         senders_of: Dict[str, Set[int]] = {}
         for dst, src, payload in event.deliveries:
             tag = payload_tag(payload)
             by_sender.setdefault(src, {}).setdefault(tag, {}).setdefault(
-                dst, []
-            ).append(_payload_fingerprint(payload))
+                dst, payload
+            )
             senders_of.setdefault(tag, set()).add(src)
 
         stage_before = run_stage.get(event.run, -1)
@@ -171,9 +163,11 @@ def analyze_log(log: FlightLog, field=None,
             if phase not in UNICAST_PHASES and phase != "other":
                 for src in sorted(senders):
                     views = by_sender[src][tag]
-                    distinct = {fingerprints[0]
-                                for fingerprints in views.values()}
-                    if len(views) >= 2 and len(distinct) >= 2:
+                    if len(views) < 2:
+                        continue
+                    distinct = {wire_keys(payload)
+                                for payload in views.values()}
+                    if len(distinct) >= 2:
                         report.accusations.append(Accusation(
                             player=src, kind="equivocation",
                             run=event.run, round=event.round, tag=tag,

@@ -42,7 +42,6 @@ Four modes support the benchmark ablations (``interpolation_mode``):
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -246,17 +245,15 @@ class InterpolationCache:
         }
 
 
-_SHARED: "weakref.WeakKeyDictionary[Field, InterpolationCache]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def shared_cache(field: Field) -> InterpolationCache:
-    """The long-lived cache attached to ``field`` (created on first use)."""
-    cache = _SHARED.get(field)
+    """The long-lived cache attached to ``field`` (created on first use).
+
+    The cache lives on the field itself, so it is freed with the field:
+    the field <-> cache cycle has no outside referent.
+    """
+    cache = field._interp_cache
     if cache is None:
-        cache = InterpolationCache(field)
-        _SHARED[field] = cache
+        cache = field._interp_cache = InterpolationCache(field)
     return cache
 
 

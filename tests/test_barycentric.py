@@ -312,6 +312,19 @@ class TestCacheMetering:
         assert shared_cache(f1) is shared_cache(f1)
         assert shared_cache(f1) is not shared_cache(f2)
 
+    def test_shared_cache_does_not_keep_its_field_alive(self):
+        import gc
+        import weakref
+
+        field = GF2k(16)
+        pts = poly_points(field, [3, 1, 4])[1]
+        assert interpolate_at_cached(field, pts, field.zero) == 3
+        assert shared_cache(field).stats()["sets"] == 1
+        ref = weakref.ref(field)
+        del field
+        gc.collect()
+        assert ref() is None
+
 
 class TestDecoderFallback:
     def test_corrupted_head_points_fall_back_to_key_equation(self):

@@ -1,5 +1,7 @@
 """Wire codec round-trips and error handling."""
 
+import enum
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +44,91 @@ class TestRoundTrip:
     def test_negative_ints(self):
         assert codec.decode(codec.encode(-7)) == -7
         assert codec.decode(codec.encode(-(2**100))) == -(2**100)
+
+
+def strict(payload):
+    """``payload`` with every leaf tagged by its exact type, so ``True``
+    and ``1`` (or an ``IntEnum`` member and its value) compare unequal."""
+    if isinstance(payload, tuple):
+        return ("tuple", tuple(strict(item) for item in payload))
+    return (type(payload).__name__, payload)
+
+
+class Colour(enum.IntEnum):
+    RED = 5
+
+
+#: (payload, wire hex, decoded payload) pinning the bytes at every
+#: boundary of the int and tuple-count fast paths
+GOLDEN = [
+    (0, "690100", 0),
+    (127, "69017f", 127),
+    (128, "690180", 128),
+    (255, "6901ff", 255),
+    (256, "69020100", 256),
+    (2**1016 - 1, "697f" + "ff" * 127, 2**1016 - 1),
+    (2**1016, "69800101" + "00" * 127, 2**1016),
+    (-1, "6a0101", -1),
+    (-256, "6a020100", -256),
+    (-(2**1016), "6a800101" + "00" * 127, -(2**1016)),
+    (True, "54", True),
+    (False, "46", False),
+    (None, "4e", None),
+    ((True, 1, False, 0), "2804" "54" "690101" "46" "690100",
+     (True, 1, False, 0)),
+    ((1, (True,), (1,)), "2803" "690101" "280154" "2801690101",
+     (1, (True,), (1,))),
+    (Colour.RED, "690105", 5),
+    ((Colour.RED, 5), "2802690105690105", (5, 5)),
+    ((), "2800", ()),
+    (((),), "28012800", ((),)),
+    ((0,) * 127, "287f" + "690100" * 127, (0,) * 127),
+    ((0,) * 128, "288001" + "690100" * 128, (0,) * 128),
+    ("", "7300", ""),
+    ("cg/sh", "7305" + "cg/sh".encode().hex(), "cg/sh"),
+    ("\u00e9", "7302c3a9", "\u00e9"),
+    (("expose/c0", (7, 2**31)),
+     "2802" "7309" + "expose/c0".encode().hex() + "2802" "690107" "690480000000",
+     ("expose/c0", (7, 2**31))),
+]
+
+
+class TestGoldenVectors:
+    @pytest.mark.parametrize("payload,wire,decoded", GOLDEN)
+    def test_encode_bytes_are_pinned(self, payload, wire, decoded):
+        assert codec.encode(payload).hex() == wire
+
+    @pytest.mark.parametrize("payload,wire,decoded", GOLDEN)
+    def test_decode_types_are_pinned(self, payload, wire, decoded):
+        assert strict(codec.decode(bytes.fromhex(wire))) == strict(decoded)
+
+
+class TestNestingLimit:
+    @staticmethod
+    def nested(depth):
+        payload = None
+        for _ in range(depth):
+            payload = (payload,)
+        return payload
+
+    def test_deepest_allowed_payload_round_trips(self):
+        payload = self.nested(codec.MAX_DEPTH)
+        assert codec.decode(codec.encode(payload)) == payload
+
+    def test_encode_refuses_one_level_deeper(self):
+        with pytest.raises(codec.CodecError):
+            codec.encode(self.nested(codec.MAX_DEPTH + 1))
+
+    def test_decode_refuses_one_level_deeper(self):
+        wire = b"(\x01" * (codec.MAX_DEPTH + 1) + b"N"
+        with pytest.raises(codec.CodecError):
+            codec.decode(wire)
+
+    def test_stack_exhausting_depths_fail_closed(self):
+        with pytest.raises(codec.CodecError):
+            codec.decode(b"(\x01" * 5000 + b"N")
+        with pytest.raises(codec.CodecError):
+            codec.encode(self.nested(5000))
 
 
 class TestSizes:

@@ -111,6 +111,26 @@ class TestConstruction:
         assert f.mul(a, f.inv(a)) == f.one
 
 
+class TestTableSharing:
+    def test_instances_share_tables_but_not_counters(self):
+        a, b = GF2k(16), GF2k(16)
+        assert a._exp is b._exp and a._log is b._log
+        assert a.generator == b.generator
+        assert a.counter is not b.counter
+        a.mul(3, 5)
+        assert (a.counter.muls, b.counter.muls) == (1, 0)
+
+    def test_other_modulus_gets_its_own_tables(self):
+        aes, other = GF2k(8, modulus=0x11B), GF2k(8, modulus=0x11D)
+        assert aes._exp is not other._exp and aes._log is not other._log
+        assert aes.mul(0x53, 0xCA) == 1  # the AES field's textbook inverse
+        for field in (aes, other):
+            raw = GF2k(8, modulus=field.modulus, tables=False)
+            for a, b in [(3, 7), (0x53, 0xCA), (200, 255)]:
+                assert field.mul(a, b) == raw.mul(a, b)
+                assert field.inv(a) == raw.inv(a)
+
+
 class TestConversions:
     def test_from_int_range(self, gf256):
         with pytest.raises(ValueError):
