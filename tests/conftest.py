@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.fields import GF2k, GFp, build_special_field
+from repro.net import codec
 
 # Keep property-based tests fast and deterministic across the suite.
 settings.register_profile(
@@ -52,3 +53,23 @@ def special32():
 @pytest.fixture()
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def _ones_to_true(payload):
+    """A decoder bug ``==`` cannot see: every int 1 comes back as True."""
+    if type(payload) is int and payload == 1:
+        return True
+    if isinstance(payload, tuple):
+        return tuple(_ones_to_true(item) for item in payload)
+    return payload
+
+
+@pytest.fixture()
+def make_decoder_lossy(monkeypatch):
+    """Call to patch ``codec.decode`` so every decoded int 1 becomes True,
+    for negative controls of checks that must compare re-encoded bytes."""
+    def install():
+        real = codec.decode
+        monkeypatch.setattr(codec, "decode",
+                            lambda data: _ones_to_true(real(data)))
+    return install

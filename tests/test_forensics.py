@@ -125,6 +125,36 @@ class TestTwoCorrupt:
                                faulty_programs=programs)
         assert report.corrupt_players() == corrupt, report.summary()
 
+    def test_equivocation_with_payloads_too_deep_to_encode(self):
+        # two different payloads nested past both the codec's depth
+        # limit and repr's recursion limit must still count as distinct
+        n = 5
+        from repro.net.simulator import Send
+
+        def nested(leaf):
+            for _ in range(5000):
+                leaf = (leaf,)
+            return leaf
+
+        def honest(me):
+            yield [multicast(("cg/nu", me))]
+            return None
+
+        def equivocator(me):
+            yield [Send(dst, ("cg/nu", nested("a" if dst <= 2 else "b")))
+                   for dst in range(1, n + 1)]
+            return None
+
+        network = SynchronousNetwork(n, allow_broadcast=False)
+        recorder = FlightRecorder(n=n, t=1)
+        recorder.attach(network.bus)
+        programs = {pid: honest(pid) for pid in range(1, n)}
+        programs[n] = equivocator(n)
+        network.run(programs)
+        report = analyze_log(recorder.log())
+        assert report.corrupt_players() == {n}
+        assert {a.kind for a in report.against(n)} == {"equivocation"}
+
 
 class TestSoundness:
     @pytest.mark.parametrize("seed", SEEDS + (13, 21))
