@@ -14,7 +14,8 @@ import random
 import pytest
 
 from repro.fields import GF2k
-from repro.net.simulator import SynchronousNetwork, multicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import multicast
 from repro.protocols.coin_expose import coin_expose, make_dealer_coin
 
 K = 32
@@ -31,7 +32,7 @@ def expose_with_liars(n, t, num_liars, seed):
             yield [multicast(("expose/" + coin_id, rng.randrange(FIELD.order)))]
         return program()
 
-    net = SynchronousNetwork(n, field=FIELD, allow_broadcast=False)
+    net = ProtocolRuntime(n, field=FIELD, allow_broadcast=False)
     programs = {}
     for pid in range(1, n + 1):
         if pid in liars:

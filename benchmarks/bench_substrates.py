@@ -17,7 +17,7 @@ from repro.fields import GF2k
 from repro.protocols.ba import run_phase_king
 from repro.protocols.broadcast import run_broadcast
 from repro.protocols.eig import run_eig
-from repro.net.simulator import SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
 from repro.protocols.gradecast import parallel_gradecast
 
 FIELD = GF2k(32)
@@ -70,7 +70,7 @@ def test_gradecast_cost(benchmark, report):
     n, t = 7, 1
 
     def run():
-        net = SynchronousNetwork(n, field=FIELD, allow_broadcast=False)
+        net = ProtocolRuntime(n, field=FIELD, allow_broadcast=False)
         programs = {
             pid: parallel_gradecast(n, t, pid, ("v", pid))
             for pid in range(1, n + 1)

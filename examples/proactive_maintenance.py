@@ -23,12 +23,12 @@ from repro.poly.lagrange import interpolate_at
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
 from repro.protocols.recovery import run_recovery
 from repro.protocols.refresh import run_refresh
-from repro.net.simulator import SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
 from repro.sharing.shamir import ShamirScheme
 
 
 def expose(field, n, table, h):
-    net = SynchronousNetwork(n, field=field, allow_broadcast=False)
+    net = ProtocolRuntime(n, field=field, allow_broadcast=False)
     programs = {pid: coin_expose(field, pid, table[pid][h]) for pid in table}
     return set(net.run(programs).values())
 

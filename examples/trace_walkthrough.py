@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Watch one Coin-Gen execution round by round.
 
-Attaches a tracer to the simulated network and prints the protocol's
+Attaches a tracer to the context's event bus and prints the protocol's
 timeline — the concrete shape behind Fig. 5's step list — together with
 per-phase message totals and the per-player cost meter that backs the
 benchmark harness.
@@ -12,21 +12,19 @@ Run:  python examples/trace_walkthrough.py
 import random
 
 from repro.fields import GF2k
-from repro.net.simulator import SynchronousNetwork
 from repro.net.trace import Tracer
 from repro.protocols.coin_gen import coin_gen_program, make_seed_coins
+from repro.protocols.context import ProtocolContext
 
 
 def main() -> None:
     field = GF2k(32)
     n, t, M = 7, 1, 4
 
-    tracer = Tracer()
+    ctx = ProtocolContext.create(field, n, t, enforce_codec=True)
+    tracer = Tracer().attach(ctx.ensure_bus())
     seeds = make_seed_coins(field, n, t, 4, random.Random(1))
-    network = SynchronousNetwork(
-        n, field=field, allow_broadcast=False,
-        observer=tracer.observe, enforce_codec=True,
-    )
+    network = ctx.network(allow_broadcast=False)
     programs = {
         pid: coin_gen_program(
             field, n, t, pid, M, seeds[pid], random.Random(pid)

@@ -58,7 +58,7 @@ class LeaderElection:
         """Build an election over a fresh coin source for ``context``.
 
         The source inherits the context's scheduler, fault plane, and
-        tracer — elections run identically under any delivery policy.
+        bus — elections run identically under any delivery policy.
         """
         source = BootstrapCoinSource(context=context, **source_kwargs)
         return cls(source, candidates=candidates, exact_uniform=exact_uniform)

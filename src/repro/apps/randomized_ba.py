@@ -67,7 +67,7 @@ class CommonCoinBA:
         """Build a BA over a fresh coin source wired to ``context``.
 
         The source inherits the context's scheduler, fault plane, and
-        tracer, so the coin supply runs under the chosen delivery policy.
+        bus, so the coin supply runs under the chosen delivery policy.
         """
         source = BootstrapCoinSource(context=context, **source_kwargs)
         return cls(source, max_rounds=max_rounds)

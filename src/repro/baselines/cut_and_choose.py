@@ -23,7 +23,8 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork, broadcast, unicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import broadcast, unicast
 from repro.poly.lagrange import interpolate
 from repro.poly.polynomial import Polynomial
 from repro.sharing.shamir import ShamirScheme
@@ -153,7 +154,7 @@ def run_cut_and_choose_vss(
     }
     _, coin_shares = make_dealer_coin(field, n, t, "ccvss-challenge", rng)
 
-    network = SynchronousNetwork(n, field=field)
+    network = ProtocolRuntime(n, field=field)
     programs = {
         pid: cut_and_choose_program(
             field,

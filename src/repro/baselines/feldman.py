@@ -27,7 +27,8 @@ from typing import Dict, Generator, Optional, Tuple
 from repro.fields.gfp import GFp
 from repro.fields.irreducible import is_prime
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork, broadcast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import broadcast
 from repro.protocols.common import filter_tag
 
 
@@ -143,7 +144,7 @@ def run_feldman_vss(
     if cheat_shares:
         shares.update(cheat_shares)
 
-    network = SynchronousNetwork(n, field=group_field)
+    network = ProtocolRuntime(n, field=group_field)
     programs = {
         pid: feldman_program(
             group,

@@ -24,7 +24,8 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork, multicast, unicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import multicast, unicast
 from repro.sharing.shamir import ShamirScheme
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
 from repro.protocols.common import filter_tag, valid_element, valid_element_tuple
@@ -95,7 +96,7 @@ def run_from_scratch_coin(
     faulty_programs: Optional[Dict[int, Generator]] = None,
 ) -> Tuple[Dict[int, Optional[Element]], NetworkMetrics]:
     """Generate and immediately expose one from-scratch coin."""
-    network = SynchronousNetwork(n, field=field, allow_broadcast=False)
+    network = ProtocolRuntime(n, field=field, allow_broadcast=False)
     programs = {}
     faulty_programs = faulty_programs or {}
     for pid in range(1, n + 1):

@@ -33,7 +33,7 @@ from repro.net.adversary import (
     equivocator_program,
     silent_program,
 )
-from repro.net.simulator import multicast
+from repro.net.transport import multicast
 
 LOCKSTEP = "lockstep"
 ASYNC = "async"

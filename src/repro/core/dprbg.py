@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.fields.base import Element, Field
 from repro.net.adversary import Adversary
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
 from repro.protocols.coin_gen import CoinGenOutput, coin_gen_program
 from repro.protocols.context import ProtocolContext
 from repro.core.coin import SharedCoin, UnanimityError
@@ -116,7 +116,7 @@ class SharedCoinSystem:
             return {}
         return self.adversary.programs(self.n)
 
-    def _network(self) -> SynchronousNetwork:
+    def _network(self) -> ProtocolRuntime:
         return self.context.network(
             allow_broadcast=False,
             rushing=self.corrupt if self.adversary and self.adversary.rushing else (),

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
 from repro.protocols.batch_vss import batch_vss_program
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
 from repro.sharing.shamir import ShamirScheme
@@ -91,7 +91,7 @@ class VerifiedSecretStore:
             self.field, self.n, self.t, f"store-challenge-{batch_index}",
             self.rng,
         )
-        network = SynchronousNetwork(self.n, field=self.field)
+        network = ProtocolRuntime(self.n, field=self.field)
         programs = {
             pid: batch_vss_program(
                 self.field, self.n, self.t, pid,
@@ -124,8 +124,8 @@ class VerifiedSecretStore:
     def open(self, secret_id: str) -> Element:
         """Robustly open one stored secret (committee-wide exposure)."""
         record = self._stored[secret_id]
-        network = SynchronousNetwork(self.n, field=self.field,
-                                     allow_broadcast=False)
+        network = ProtocolRuntime(self.n, field=self.field,
+                                  allow_broadcast=False)
         programs = {
             pid: coin_expose(self.field, pid, record.shares[pid])
             for pid in range(1, self.n + 1)

@@ -6,27 +6,23 @@ available between the players.  Of the n players, a subset of size at most
 t of them is assumed to be able to deviate arbitrarily from the protocol,
 and even collude."
 
-:class:`~repro.net.simulator.SynchronousNetwork` provides lock-step rounds
-over private point-to-point channels plus an optional ideal broadcast
-channel (assumed by the Section 3 protocols, dropped in Section 4).
-Message, bit, and per-player field-operation metering reproduce the
-quantities the paper's lemmas count.
+:class:`ProtocolRuntime` runs lock-step rounds over private channels
+plus an optional ideal broadcast channel (assumed in Section 3, dropped
+in Section 4); :class:`AsyncRuntime` delivers one message at a time.
+Metering reproduces the quantities the paper's lemmas count.
 """
 
-from repro.net.simulator import (
-    ALL,
-    Send,
-    SynchronousNetwork,
-    broadcast,
-    multicast,
-    unicast,
-)
 from repro.net.transport import (
+    ALL,
     BroadcastTransport,
     PrivateChannelTransport,
     ProtocolViolation,
+    Send,
     Transport,
+    broadcast,
     make_transport,
+    multicast,
+    unicast,
 )
 from repro.net.scheduler import (
     LockstepScheduler,
@@ -50,7 +46,6 @@ from repro.net.adversary import (
 __all__ = [
     "ALL",
     "Send",
-    "SynchronousNetwork",
     "broadcast",
     "multicast",
     "unicast",

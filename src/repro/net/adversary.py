@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence
 
-from repro.net.simulator import ALL, Send
+from repro.net.transport import ALL, Send
 
 Program = Generator[List[Send], Dict[int, List[Any]], Any]
 ProgramFactory = Callable[..., Program]

@@ -53,12 +53,7 @@ from repro.net.metrics import NetworkMetrics
 from repro.net.runtime import Inbox, Program, RuntimeBase
 from repro.net.scheduler import RandomOrderScheduler, Scheduler
 from repro.net.trace import payload_tag
-from repro.net.transport import (
-    ProtocolViolation,
-    Transport,
-    expansion_channels,
-    make_transport,
-)
+from repro.net.transport import ProtocolViolation, expansion_channels
 from repro.obs.bus import (
     GUARD_ARMED,
     GUARD_FIRED,
@@ -79,9 +74,9 @@ def _inbox_size(inbox: Inbox) -> int:
 class AsyncRuntime(RuntimeBase):
     """Runs player programs under adversarial message-at-a-time delivery.
 
-    Construction mirrors :class:`~repro.net.simulator.SynchronousNetwork`
-    (a transport is built for you from ``allow_broadcast`` /
-    ``enforce_codec`` unless one is passed); the default scheduler is a
+    Construction mirrors :class:`~repro.net.runtime.ProtocolRuntime`
+    (see :class:`~repro.net.runtime.RuntimeBase` for the parameters),
+    without ``rushing``; the default scheduler is a
     :class:`~repro.net.scheduler.RandomOrderScheduler` with seed 0 —
     pass one with your own seed to sweep delivery schedules.
 
@@ -100,37 +95,19 @@ class AsyncRuntime(RuntimeBase):
         n: int,
         field: Optional[Field] = None,
         metrics: Optional[NetworkMetrics] = None,
-        transport: Optional[Transport] = None,
         scheduler: Optional[Scheduler] = None,
         faults: Optional[FaultPlane] = None,
         max_deliveries: int = 100_000,
-        observer=None,
-        tracer=None,
         recorder=None,
         bus: Optional[EventBus] = None,
         allow_broadcast: bool = True,
         enforce_codec: bool = False,
     ):
-        metrics = metrics or NetworkMetrics(
-            element_bits=field.bit_length if field is not None else 1
-        )
-        transport = transport or make_transport(
-            n, metrics,
-            allow_broadcast=allow_broadcast,
-            enforce_codec=enforce_codec,
-        )
         super().__init__(
-            n,
-            field=field,
-            metrics=metrics,
-            transport=transport,
-            scheduler=scheduler or RandomOrderScheduler(),
-            faults=faults,
-            max_rounds=max_deliveries,
-            observer=observer,
-            tracer=tracer,
-            recorder=recorder,
-            bus=bus,
+            n, field=field, metrics=metrics,
+            scheduler=scheduler or RandomOrderScheduler(), faults=faults,
+            max_rounds=max_deliveries, recorder=recorder, bus=bus,
+            allow_broadcast=allow_broadcast, enforce_codec=enforce_codec,
         )
         self.max_deliveries = max_deliveries
         #: final logical clock of the last run (deliveries + idle ticks)

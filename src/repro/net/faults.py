@@ -28,7 +28,7 @@ Example
     plane.duplicate(src=4, dst=1)     # 4 -> 1 messages arrive twice
     plane.delay(src=5, by=2)          # 5's sends arrive two rounds late
     plane.crash(6, at_round=2)        # 6 stops participating in round 2
-    net = SynchronousNetwork(7, faults=plane, allow_broadcast=False)
+    net = ProtocolRuntime(7, faults=plane, allow_broadcast=False)
 """
 
 from __future__ import annotations

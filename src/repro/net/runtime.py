@@ -25,6 +25,7 @@ player just a different generator.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.fields.base import Field, OpCounter
@@ -34,6 +35,7 @@ from repro.net.metrics import NetworkMetrics
 from repro.net.scheduler import LockstepScheduler, Scheduler
 from repro.net.trace import payload_tag
 from repro.net.transport import (
+    Payload,
     ProtocolViolation,
     Send,
     Transport,
@@ -53,7 +55,6 @@ from repro.obs.bus import (
 from repro.obs.phases import classify_tags
 from repro.obs.spans import NULL_RECORDER
 
-Payload = Any
 Inbox = Dict[int, List[Payload]]
 Program = Generator[List[Send], Inbox, Any]
 
@@ -102,32 +103,34 @@ class RuntimeBase:
         (snapshots around each program step).
     metrics:
         Optional pre-existing metrics object to accumulate into.
-    transport:
-        The channel layer; defaults to a broadcast-capable transport
-        over ``metrics``.
     scheduler:
         Stepping/delivery policy; defaults to :class:`LockstepScheduler`
         (the historical semantics, byte for byte).
     faults:
         Optional :class:`~repro.net.faults.FaultPlane` applied to every
         delivery and to the stepping loop.
-    observer:
-        Optional callable ``observer(round_number, deliveries)`` where
-        deliveries is a list of (dst, src, payload).
-    tracer:
-        Optional :class:`~repro.net.trace.Tracer`; its ``observe`` hook
-        is chained after ``observer``.  Attaching here (rather than
-        wrapping the network) makes traces identical under every
-        scheduler.
+    max_rounds:
+        The scheduling limit (async: ``max_deliveries``).
     recorder:
         Optional span recorder (:class:`repro.obs.spans.SpanRecorder`).
         Defaults to the no-op :data:`repro.obs.spans.NULL_RECORDER`, in
         which case all instrumentation is skipped (zero cost).
     bus:
         Optional :class:`repro.obs.bus.EventBus`.  One is created per
-        runtime if not given.  ``observer`` and ``tracer`` are wired as
-        subscribers of its ``"round"`` topic; the fault plane publishes
+        runtime if not given.  It is the runtime's only observation
+        channel: each settled delivery batch is published on its
+        ``"round"`` topic (attach a :class:`~repro.net.trace.Tracer` or
+        a flight recorder there), and the fault plane publishes
         ``"fault"`` events into it.
+    allow_broadcast:
+        Whether the ideal broadcast channel exists.  The Section 4 coin
+        generation protocols set this to False, enforcing the paper's
+        point-to-point-only model.
+    enforce_codec:
+        When set, every payload is round-tripped through the binary wire
+        codec (:mod:`repro.net.codec`): unencodable payloads raise, and
+        the metrics object accumulates the exact wire byte count in
+        ``wire_bytes``.
     """
 
     def __init__(
@@ -135,14 +138,13 @@ class RuntimeBase:
         n: int,
         field: Optional[Field] = None,
         metrics: Optional[NetworkMetrics] = None,
-        transport: Optional[Transport] = None,
         scheduler: Optional[Scheduler] = None,
         faults: Optional[FaultPlane] = None,
         max_rounds: int = 100_000,
-        observer=None,
-        tracer=None,
         recorder=None,
         bus: Optional[EventBus] = None,
+        allow_broadcast: bool = True,
+        enforce_codec: bool = False,
     ):
         if n < 1:
             raise ValueError("need at least one player")
@@ -151,18 +153,16 @@ class RuntimeBase:
         self.metrics = metrics or NetworkMetrics(
             element_bits=field.bit_length if field is not None else 1
         )
-        self.transport = transport or make_transport(n, self.metrics)
+        self.transport: Transport = make_transport(
+            n, self.metrics,
+            allow_broadcast=allow_broadcast,
+            enforce_codec=enforce_codec,
+        )
         self.scheduler = scheduler or LockstepScheduler()
         self.faults = faults
         self.max_rounds = max_rounds
-        self.observer = observer
-        self.tracer = tracer
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.bus = bus if bus is not None else EventBus()
-        if observer is not None:
-            self.bus.subscribe(ROUND, observer)
-        if tracer is not None:
-            self.bus.subscribe(ROUND, tracer.observe)
         if self.recorder.enabled:
             self.bus.subscribe(FAULT, self.recorder.on_fault)
         if self.faults is not None:
@@ -331,8 +331,41 @@ class ProtocolRuntime(RuntimeBase):
     both this runtime and the async one.  Guards are ignored for rushing
     players (rushing is already the strongest synchronous scheduling).
 
-    See :class:`RuntimeBase` for the constructor parameters.
+    ``rushing`` names the rushing players (docs/MODEL.md, "Fault
+    model": each of their yields after a discarded registration step
+    also receives a ``"rush_peek"`` entry holding this round's in-flight
+    traffic addressed to them).  They are merged into the
+    scheduler's rushing set — into a *copy* of a passed scheduler, so a
+    scheduler shared across runs (e.g. through a
+    :class:`~repro.protocols.context.ProtocolContext`) is never mutated.
+    See :class:`RuntimeBase` for the other constructor parameters.
     """
+
+    def __init__(
+        self,
+        n: int,
+        field: Optional[Field] = None,
+        metrics: Optional[NetworkMetrics] = None,
+        rushing: Iterable[int] = (),
+        scheduler: Optional[Scheduler] = None,
+        faults: Optional[FaultPlane] = None,
+        max_rounds: int = 100_000,
+        recorder=None,
+        bus: Optional[EventBus] = None,
+        allow_broadcast: bool = True,
+        enforce_codec: bool = False,
+    ):
+        if scheduler is None:
+            scheduler = LockstepScheduler(rushing=rushing)
+        elif rushing:
+            scheduler = copy.copy(scheduler)
+            scheduler.rushing = scheduler.rushing | frozenset(rushing)
+        super().__init__(
+            n, field=field, metrics=metrics, scheduler=scheduler,
+            faults=faults, max_rounds=max_rounds, recorder=recorder,
+            bus=bus, allow_broadcast=allow_broadcast,
+            enforce_codec=enforce_codec,
+        )
 
     # -- main loop -------------------------------------------------------------
     def run(

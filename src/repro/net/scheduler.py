@@ -78,7 +78,7 @@ class Scheduler:
 class LockstepScheduler(Scheduler):
     """The historical semantics: deliveries land in emission order.
 
-    ``SynchronousNetwork`` without a ``scheduler`` argument uses exactly
+    ``ProtocolRuntime`` without a ``scheduler`` argument uses exactly
     this scheduler, so existing runs are reproduced byte for byte.
     """
 

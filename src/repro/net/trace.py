@@ -5,11 +5,12 @@ players sent, message counts per tag prefix, and byte volumes.  Useful
 for debugging protocol round structure and for the documentation's
 round-by-round tables.
 
-Attach a tracer through the runtime — ``SynchronousNetwork(tracer=...)``
-or ``ProtocolContext(tracer=...)`` — rather than wrapping the network:
-the runtime invokes it after the scheduler and fault plane have settled
-each round's deliveries, so traces are produced identically under every
-scheduler.  (The legacy ``observer=tracer.observe`` hook still works.)
+Attach a tracer to a runtime's event bus — ``Tracer().attach(net.bus)``,
+or ``Tracer().attach(ctx.ensure_bus())`` to trace every run a
+:class:`~repro.protocols.context.ProtocolContext` builds — rather than
+wrapping the network: the runtime publishes each round's deliveries
+after the scheduler and fault plane have settled them, so traces are
+produced identically under every scheduler.
 """
 
 from __future__ import annotations
@@ -57,13 +58,24 @@ class RoundTrace:
 
 
 class Tracer:
-    """Collects per-round traces; attach via ``SynchronousNetwork(tracer=...)``."""
+    """Collects per-round traces; attach to an event bus with :meth:`attach`."""
 
     def __init__(self) -> None:
         self.rounds: List[RoundTrace] = []
 
+    def attach(self, bus) -> "Tracer":
+        from repro.obs.bus import ROUND  # repro.obs imports this module
+
+        bus.subscribe(ROUND, self.observe)
+        return self
+
+    def detach(self, bus) -> None:
+        from repro.obs.bus import ROUND
+
+        bus.unsubscribe(ROUND, self.observe)
+
     def observe(self, round_number: int, deliveries) -> None:
-        """Observer hook: called once per round with (dst, src, payload)."""
+        """``"round"`` topic handler: one call per round with (dst, src, payload)."""
         trace = RoundTrace(round_number)
         for _dst, src, payload in deliveries:
             trace.record(src, payload)

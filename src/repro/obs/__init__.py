@@ -4,10 +4,10 @@ The paper's contribution is a *cost* claim — ``O(n^2 log k)`` additions,
 ``O(n)`` messages, one interpolation per batch (Lemmas 2/4/6,
 Corollary 1).  This package makes those costs observable on live runs:
 
-* :mod:`repro.obs.bus` — a small synchronous event bus the runtime
-  publishes round/fault events through; the existing
-  :class:`~repro.net.trace.Tracer` and legacy ``observer=`` hooks are
-  subscribers, and the :class:`~repro.net.faults.FaultPlane` is a
+* :mod:`repro.obs.bus` — a small synchronous event bus, the one
+  channel both runtimes publish run/round/fault events through; the
+  :class:`~repro.net.trace.Tracer` and every recorder below attach to
+  it as subscribers, and the :class:`~repro.net.faults.FaultPlane` is a
   publisher;
 * :mod:`repro.obs.spans` — nested spans (protocol -> phase -> round ->
   per-player step) carrying wall-clock time, an

@@ -183,9 +183,43 @@ def _wire_payload(wire_keys: WireKeys, payload: Any):
 
 
 def _decode_payload(wire) -> Any:
+    """A logged payload back in memory; ``ValueError`` when malformed."""
     if isinstance(wire, str):
-        return codec.decode(bytes.fromhex(wire))
-    return OpaquePayload(wire["repr"])
+        try:
+            return codec.decode(bytes.fromhex(wire))
+        except codec.CodecError as exc:
+            raise ValueError(f"undecodable payload ({exc})") from exc
+    if isinstance(wire, dict) and isinstance(wire.get("repr"), str):
+        return OpaquePayload(wire["repr"])
+    raise ValueError(f"payload {wire!r} is neither hex nor {{'repr': str}}")
+
+
+def _int_in(value: Any, what: str, low: int = 0,
+            high: Optional[int] = None) -> int:
+    """``value`` when it is an int in ``low..high``, else ``ValueError``."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or (high is not None and value > high)):
+        bound = f"in {low}..{high}" if high is not None else f">= {low}"
+        raise ValueError(f"{what} must be an int {bound}, got {value!r}")
+    return value
+
+
+def _read_deliveries(items: Any, n: int, where: str) -> Tuple:
+    """A round record's ``d`` list as ``(dst, src, payload)`` triples."""
+    if type(items) is not list:
+        raise ValueError(f"{where}: 'd' must be a list")
+    deliveries = []
+    for item in items:
+        if type(item) is not list or len(item) != 3:
+            raise ValueError(f"{where}: delivery {item!r} is not [dst, src, payload]")
+        dst, src, wire = item
+        # ``type() is int`` keeps JSON true/false out
+        if (type(dst) is not int or type(src) is not int
+                or not (0 < dst <= n and 0 < src <= n)):
+            raise ValueError(f"{where}: delivery {item!r} is not between "
+                             f"players 1..{n}")
+        deliveries.append((dst, src, _decode_payload(wire)))
+    return tuple(deliveries)
 
 
 @dataclass(frozen=True)
@@ -276,43 +310,60 @@ class FlightLog:
 
     @classmethod
     def loads(cls, text: str) -> "FlightLog":
+        """Parse a log; any malformed header or event raises ``ValueError``."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("empty flight log")
         header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise ValueError("header: not a JSON object")
         version = header.get("flight")
         if version != FLIGHT_VERSION:
             raise ValueError(
                 f"unsupported flight log version {version!r} "
                 f"(this build reads version {FLIGHT_VERSION})"
             )
-        log = cls(n=header["n"], t=header["t"], field=header.get("field"),
+        n = _int_in(header.get("n"), "header 'n'", low=1)
+        t = _int_in(header.get("t"), "header 't'")
+        for key, kind in (("field", str), ("seed", int), ("manifest", dict)):
+            if header.get(key) is not None and not isinstance(header[key], kind):
+                raise ValueError(f"header: {key!r} must be a {kind.__name__}")
+        log = cls(n=n, t=t, field=header.get("field"),
                   seed=header.get("seed"), version=version,
                   manifest=header.get("manifest"))
         run = 0
-        for line in lines[1:]:
+        for number, line in enumerate(lines[1:], start=2):
+            where = f"line {number}"
             record = json.loads(line)
-            kind = record["e"]
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: event is not a JSON object")
+            kind = record.get("e")
+            if kind not in ("run", "round", "fault"):
+                raise ValueError(f"{where}: unknown flight event kind {kind!r}")
+            index = _int_in(record.get("i"), f"{where}: 'i'")
             if kind == "run":
                 run += 1
-            elif kind == "round":
-                deliveries = tuple(
-                    (dst, src, _decode_payload(wire))
-                    for dst, src, wire in record["d"]
-                )
-                log.rounds.append(RoundEvent(
-                    index=record["i"], run=record.get("run", run or 1),
-                    round=record["r"], deliveries=deliveries,
-                ))
-            elif kind == "fault":
-                log.faults.append(FaultEvent(
-                    index=record["i"], run=record.get("run", run or 1),
-                    round=record["r"], kind=record["k"],
-                    src=record["src"], dst=record["dst"],
-                ))
             else:
-                raise ValueError(f"unknown flight event kind {kind!r}")
-            log.event_count = max(log.event_count, record["i"] + 1)
+                round_no = _int_in(record.get("r"), f"{where}: 'r'")
+                run_no = (_int_in(record.get("run"), f"{where}: 'run'", low=1)
+                          if "run" in record else run or 1)
+                if kind == "round":
+                    log.rounds.append(RoundEvent(
+                        index=index, run=run_no, round=round_no,
+                        deliveries=_read_deliveries(record.get("d"), n, where),
+                    ))
+                else:
+                    if not isinstance(record.get("k"), str):
+                        raise ValueError(f"{where}: 'k' must be a string")
+                    log.faults.append(FaultEvent(
+                        index=index, run=run_no, round=round_no,
+                        kind=record["k"],
+                        src=_int_in(record.get("src"), f"{where}: 'src'",
+                                    low=1, high=n),
+                        dst=_int_in(record.get("dst"), f"{where}: 'dst'",
+                                    high=n),
+                    ))
+            log.event_count = max(log.event_count, index + 1)
         return log
 
     @classmethod
@@ -356,7 +407,7 @@ class FlightRecorder:
         ctx = ProtocolContext.create(field, n=7, t=1, seed=3)
         recorder = FlightRecorder(n=7, t=1, field=field, seed=3)
         recorder.attach(ctx.ensure_bus())
-        run_coin_gen(..., context=ctx)
+        run_coin_gen(ctx, ...)
         recorder.log().dump("run.flightlog")
 
     The recorder delimits protocol runs by the runtime's ``"run"``

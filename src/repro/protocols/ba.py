@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, Generator
 
-from repro.net.simulator import multicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import multicast
 from repro.obs.phases import register_tag_phase
 from repro.protocols.common import filter_tag
 
@@ -83,15 +84,13 @@ def run_phase_king(n, t, inputs: Dict[int, int], field=None, faulty=None,
     """Standalone runner for tests/benches; returns (decisions, metrics).
 
     Pass ``context=`` (a :class:`~repro.protocols.context.ProtocolContext`)
-    to run under its scheduler/fault plane/tracer.
+    to run under its scheduler, fault plane, recorder and bus.
     """
-    from repro.net.simulator import SynchronousNetwork
-
     faulty = faulty or {}
     if context is not None:
         network = context.network(allow_broadcast=False)
     else:
-        network = SynchronousNetwork(n, field=field, allow_broadcast=False)
+        network = ProtocolRuntime(n, field=field, allow_broadcast=False)
     programs = {}
     for pid in range(1, n + 1):
         if pid in faulty:

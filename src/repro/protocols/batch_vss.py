@@ -26,23 +26,21 @@ degree-t polynomial fits the values of at least ``l`` given players.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Sequence, Tuple
+from typing import Dict, Generator, Optional, Sequence, Tuple
 
 from repro.fields.base import Element, Field
 from repro.poly.barycentric import interpolate_cached
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
 from repro.poly.polynomial import Polynomial, horner_batch
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import broadcast
+from repro.net.transport import broadcast
 from repro.obs.phases import register_tag_phase
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
 
 register_tag_phase("clique", suffix="/nu")
 from repro.sharing.shamir import ShamirScheme
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
 from repro.protocols.common import filter_tag, valid_element
+from repro.protocols.context import as_context
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,6 @@ def run_batch_vss(
     blinding: bool = False,
     accept_subset: Optional[Sequence[int]] = None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, BatchVSSResult], NetworkMetrics]:
     """Run Protocol Batch-VSS over M fresh dealings.
 
@@ -148,9 +145,7 @@ def run_batch_vss(
     dealing is appended to mask the combination of secrets (see module
     docstring).
     """
-    from repro.protocols.context import as_context
-
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     scheme = ShamirScheme(field, n, t)
     total = M + (1 if blinding else 0)

@@ -26,7 +26,7 @@ combination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.poly import barycentric
@@ -40,17 +40,15 @@ from repro.poly.berlekamp_welch import (
 from repro.poly.lagrange import _require_distinct
 from repro.poly.polynomial import Polynomial, evaluate_polys, horner_batch
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import multicast, unicast
+from repro.net.transport import multicast, unicast
 from repro.obs.phases import register_tag_phase
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
 from repro.sharing.shamir import ShamirScheme
 
 register_tag_phase("deal", suffix="/sh")
 register_tag_phase("clique", suffix="/nu")
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
 from repro.protocols.common import filter_tag, valid_element, valid_element_tuple
+from repro.protocols.context import as_context
 
 
 @dataclass
@@ -210,19 +208,15 @@ def run_bit_gen(
     blinding: bool = True,
     cheat_polys=None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, BitGenOutput], NetworkMetrics]:
     """Run one Bit-Gen instance end to end (point-to-point network).
 
     Accepts either the legacy ``(field, n, t, ...)`` convention or a
-    ready :class:`~repro.protocols.context.ProtocolContext` (as ``field``
-    or via ``context=``).  ``cheat_polys`` lets a test substitute the
-    dealer's polynomials (e.g. degree > t) to exercise Lemma 5's
-    soundness bound.
+    ready :class:`~repro.protocols.context.ProtocolContext` as ``field``.
+    ``cheat_polys`` lets a test substitute the dealer's polynomials (e.g.
+    degree > t) to exercise Lemma 5's soundness bound.
     """
-    from repro.protocols.context import as_context
-
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     total = M + (1 if blinding else 0)
     polys = cheat_polys

@@ -27,7 +27,8 @@ from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.net.guards import Wait, guarded, wait_any
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork, multicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import multicast
 from repro.obs.phases import register_tag_phase
 from repro.protocols.ba import phase_king
 from repro.protocols.common import filter_tag, plurality
@@ -172,7 +173,7 @@ def run_reliable_broadcast(
     mid-run crashes).
     """
     if runtime is None:
-        runtime = SynchronousNetwork(n, field=field)
+        runtime = ProtocolRuntime(n, field=field)
     crashed = set(crashed)
     programs = {
         pid: reliable_broadcast_program(
@@ -194,7 +195,7 @@ def run_broadcast(
     tag: str = "bcast",
 ) -> Tuple[Dict[int, Any], NetworkMetrics]:
     """Run one Byzantine broadcast over a point-to-point network."""
-    network = SynchronousNetwork(n, field=field, allow_broadcast=False)
+    network = ProtocolRuntime(n, field=field, allow_broadcast=False)
     programs = {}
     faulty_programs = faulty_programs or {}
     for pid in range(1, n + 1):

@@ -27,7 +27,7 @@ from typing import Generator, Optional
 from repro.fields.base import Element, Field
 from repro.obs.phases import register_tag_phase
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
-from repro.net.simulator import Send, multicast
+from repro.net.transport import Send, multicast
 from repro.protocols.common import filter_tag, valid_element
 
 # every Coin-Expose message (seed challenges, leader coins, generated

@@ -31,7 +31,7 @@ from repro.poly.polynomial import (
     horner_batch,
     horner_batch_many,
 )
-from repro.net.simulator import multicast, unicast
+from repro.net.transport import multicast, unicast
 from repro.sharing.shamir import ShamirScheme
 from repro.protocols.bit_gen import decode_batched_many
 from repro.protocols.coin_expose import CoinShare, coin_expose_many

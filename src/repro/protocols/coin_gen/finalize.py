@@ -24,7 +24,7 @@ from repro.protocols.coin_expose import (
     make_dealer_coin,
 )
 from repro.protocols.coin_gen.agreement import dealing_agreement_program
-from repro.protocols.context import ProtocolContext, as_context
+from repro.protocols.context import as_context
 
 
 @dataclass
@@ -136,21 +136,20 @@ def run_coin_gen(
     shared_challenge: bool = True,
     faulty_programs: Optional[Dict[int, Generator]] = None,
     tag: str = "cg",
-    context: Optional[ProtocolContext] = None,
 ) -> Tuple[Dict[int, CoinGenOutput], NetworkMetrics]:
     """Run Coin-Gen end to end with fresh trusted-dealer seed coins.
 
     Accepts either the legacy ``(field, n, t, ...)`` convention or a
-    ready :class:`ProtocolContext` (as ``field`` or via ``context=``),
-    whose scheduler, fault plane, and tracer are wired through.  Returns
-    per-player outputs and network metrics.  Faulty players are supplied
+    ready :class:`~repro.protocols.context.ProtocolContext` as ``field``,
+    whose scheduler, fault plane, recorder and bus are wired through.
+    Returns per-player outputs and network metrics.  Faulty players are supplied
     as complete replacement programs, as None for crashed-from-the-start,
     or as a *factory* — a callable receiving the player's honest program
     and returning the program to run instead.  The factory form is how
     wrapping adversaries (equivocators, crash-at-round-r) get the
     player's dealt seed-coin shares without re-deriving them.
     """
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     if max_iterations is None:
         max_iterations = 2 * ctx.t + 4
     num_challenges = 1 if shared_challenge else ctx.n
@@ -210,10 +209,9 @@ def expose_coin(
     h: int = 0,
     t: Optional[int] = None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
-    context: Optional[ProtocolContext] = None,
 ) -> Tuple[Dict[int, Optional[Element]], NetworkMetrics]:
     """Run Coin-Expose (Fig. 6) for the h-th coin of a Coin-Gen result."""
-    ctx = context if context is not None else as_context(field, n, t)
+    ctx = as_context(field, n, t)
     if outputs is None:
         raise TypeError("expose_coin requires the Coin-Gen outputs")
     network = ctx.network(allow_broadcast=False)

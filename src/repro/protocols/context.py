@@ -1,6 +1,6 @@
 """ProtocolContext: the execution context every protocol runs under.
 
-Protocols used to thread ``field, n, t, rng, metrics, tracer`` by hand
+Protocols used to thread ``field, n, t, rng, metrics`` by hand
 through every runner and player factory.  A :class:`ProtocolContext`
 carries them (plus the runtime layers — scheduler and fault plane) as
 one object:
@@ -14,13 +14,15 @@ one object:
 * **metrics** — the accumulating :class:`NetworkMetrics` for the
   context's lifetime (individual runs get fresh per-run metrics that
   are merged in);
-* **tracer** — an optional :class:`~repro.net.trace.Tracer` attached
-  through the runtime, so traces work identically under every scheduler;
 * **scheduler / faults** — the delivery policy and fault plane every
-  network built from this context uses.
+  network built from this context uses;
+* **recorder / bus** — the span recorder and the shared event bus every
+  network publishes into.  The bus is the one observation channel:
+  ``Tracer().attach(ctx.ensure_bus())`` traces every run the context
+  builds.
 
-Build networks with :meth:`network` and the layers are wired through
-automatically::
+Build runtimes with :meth:`network` (lockstep) or :meth:`async_runtime`
+and the layers are wired through automatically::
 
     ctx = ProtocolContext.create(field, n=7, t=1, seed=3,
                                  scheduler=PermutedDeliveryScheduler(9))
@@ -32,15 +34,15 @@ automatically::
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.fields.base import Field
 from repro.net.faults import FaultPlane
 from repro.net.metrics import NetworkMetrics
-from repro.net.scheduler import Scheduler
-from repro.net.simulator import SynchronousNetwork
-from repro.net.trace import Tracer
+from repro.net.async_runtime import AsyncRuntime
+from repro.net.runtime import ProtocolRuntime
+from repro.net.scheduler import RandomOrderScheduler, Scheduler
 from repro.obs.bus import EventBus
 from repro.obs.spans import NULL_RECORDER, NullRecorder
 
@@ -55,7 +57,6 @@ class ProtocolContext:
     seed: int = 0
     rng: random.Random = None  # type: ignore[assignment]  # derived from seed
     metrics: NetworkMetrics = None  # type: ignore[assignment]
-    tracer: Optional[Tracer] = None
     scheduler: Optional[Scheduler] = None
     faults: Optional[FaultPlane] = None
     enforce_codec: bool = False
@@ -69,7 +70,6 @@ class ProtocolContext:
     #: session.  None (the default) keeps runs byte-identical to a
     #: bus-less context.
     bus: Optional[EventBus] = None
-    extra_network_kwargs: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -114,7 +114,7 @@ class ProtocolContext:
         rushing=(),
         metrics: Optional[NetworkMetrics] = None,
         **kwargs,
-    ) -> SynchronousNetwork:
+    ) -> ProtocolRuntime:
         """A network for one protocol run, wired to this context's layers.
 
         Each call gets a *fresh* per-run metrics object (pass
@@ -122,8 +122,7 @@ class ProtocolContext:
         accumulator with :meth:`absorb` when the run's tallies should
         count toward the context's lifetime totals.
         """
-        options = {**self.extra_network_kwargs, **kwargs}
-        return SynchronousNetwork(
+        return ProtocolRuntime(
             self.n,
             field=self.field,
             metrics=metrics,
@@ -131,11 +130,10 @@ class ProtocolContext:
             allow_broadcast=allow_broadcast,
             scheduler=self.scheduler,
             faults=self.faults,
-            tracer=self.tracer,
             recorder=self.recorder,
             bus=self.bus,
             enforce_codec=self.enforce_codec,
-            **options,
+            **kwargs,
         )
 
     def async_runtime(
@@ -144,7 +142,7 @@ class ProtocolContext:
         faults: Optional[FaultPlane] = None,
         metrics: Optional[NetworkMetrics] = None,
         **kwargs,
-    ):
+    ) -> AsyncRuntime:
         """An event-driven runtime for one run, wired to this context.
 
         The async sibling of :meth:`network`: same layer wiring (fault
@@ -156,9 +154,6 @@ class ProtocolContext:
         is reproducible from the same top-level seed that drives its
         randomness.
         """
-        from repro.net.async_runtime import AsyncRuntime
-        from repro.net.scheduler import RandomOrderScheduler
-
         if scheduler is None:
             scheduler = self.scheduler or RandomOrderScheduler(self.seed)
         return AsyncRuntime(
@@ -167,7 +162,6 @@ class ProtocolContext:
             metrics=metrics,
             scheduler=scheduler,
             faults=faults if faults is not None else self.faults,
-            tracer=self.tracer,
             recorder=self.recorder,
             bus=self.bus,
             enforce_codec=self.enforce_codec,

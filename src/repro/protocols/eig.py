@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.net.simulator import SynchronousNetwork, multicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import multicast
 from repro.protocols.common import filter_tag
 
 Label = Tuple[int, ...]
@@ -137,7 +138,7 @@ def run_eig(
 ):
     """Standalone EIG runner; returns (decisions, metrics)."""
     faulty = faulty or {}
-    network = SynchronousNetwork(n, allow_broadcast=False)
+    network = ProtocolRuntime(n, allow_broadcast=False)
     programs = {}
     for pid in range(1, n + 1):
         if pid in faulty:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional, Tuple
 
-from repro.net.simulator import multicast
+from repro.net.transport import multicast
 from repro.obs.phases import register_tag_phase
 from repro.protocols.common import filter_tag, is_hashable
 

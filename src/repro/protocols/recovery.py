@@ -28,19 +28,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import unicast
+from repro.net.transport import unicast
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
 from repro.protocols.coin_expose import CoinShare
 from repro.protocols.coin_gen import DealingAgreement, dealing_agreement_program
 from repro.protocols.common import filter_tag, valid_element_tuple
+from repro.protocols.context import as_context
 from repro.sharing.shamir import ShamirScheme
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
 
 
 @dataclass
@@ -177,7 +175,6 @@ def run_recovery(
     max_iterations: Optional[int] = None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
     tag: str = "recover",
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, RecoveryOutput], NetworkMetrics]:
     """Run one recovery for ``recovering`` over ``coin_table``.
 
@@ -185,11 +182,10 @@ def run_recovery(
     ready :class:`~repro.protocols.context.ProtocolContext`.
     """
     from repro.protocols.coin_gen import make_seed_coins
-    from repro.protocols.context import as_context
 
     if coin_table is None:
         raise TypeError("run_recovery requires a coin_table")
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     if max_iterations is None:
         max_iterations = 2 * t + 4

@@ -32,15 +32,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
 from repro.protocols.coin_expose import CoinShare
 from repro.protocols.coin_gen import DealingAgreement, dealing_agreement_program
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
+from repro.protocols.context import as_context
 
 
 @dataclass
@@ -131,7 +129,6 @@ def run_refresh(
     max_iterations: Optional[int] = None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
     tag: str = "refresh",
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, RefreshOutput], NetworkMetrics]:
     """Run one refresh over ``coin_table`` ({player: its coin shares}).
 
@@ -141,11 +138,10 @@ def run_refresh(
     ready :class:`~repro.protocols.context.ProtocolContext`.
     """
     from repro.protocols.coin_gen import make_seed_coins
-    from repro.protocols.context import as_context
 
     if coin_table is None:
         raise TypeError("run_refresh requires a coin_table")
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     if max_iterations is None:
         max_iterations = 2 * t + 4

@@ -30,20 +30,18 @@ Two acceptance modes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
 from repro.poly.lagrange import interpolate
 from repro.poly.polynomial import Polynomial
-from repro.net.simulator import Send, broadcast, unicast
+from repro.net.transport import Send, broadcast, unicast
 from repro.net.metrics import NetworkMetrics
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
 from repro.sharing.shamir import ShamirScheme
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
 from repro.protocols.common import filter_tag, valid_element
+from repro.protocols.context import as_context
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,6 @@ def run_vss(
     cheat_g: Optional[Polynomial] = None,
     robust: bool = False,
     faulty_programs: Optional[Dict[int, Generator]] = None,
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, VSSResult], NetworkMetrics]:
     """Run Protocol VSS end to end on a fresh synchronous network.
 
@@ -153,9 +150,7 @@ def run_vss(
     one guessed challenge value); ``cheat_g`` substitutes the dealer's
     companion polynomial.  Returns per-player results and metrics.
     """
-    from repro.protocols.context import as_context
-
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     scheme = ShamirScheme(field, n, t)
     if secret is None:

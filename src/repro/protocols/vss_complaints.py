@@ -26,18 +26,16 @@ coin pipeline prefers the n-t criterion plus robust reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import broadcast, unicast
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
+from repro.net.transport import broadcast, unicast
 from repro.sharing.shamir import ShamirScheme
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
 from repro.protocols.common import filter_tag, valid_element
+from repro.protocols.context import as_context
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,6 @@ def run_vss_with_complaints(
     cheat_shares: Optional[Dict[int, Element]] = None,
     dealer_answers: bool = True,
     faulty_programs: Optional[Dict[int, Generator]] = None,
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, ComplaintVSSResult], NetworkMetrics]:
     """Run the complaint-resolving VSS end to end (dealer = player 1).
 
@@ -185,9 +182,8 @@ def run_vss_with_complaints(
     models a dealer that refuses resolution (everyone must reject).
     """
     from repro.poly.polynomial import Polynomial
-    from repro.protocols.context import as_context
 
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     scheme = ShamirScheme(field, n, t)
     if secret is None:

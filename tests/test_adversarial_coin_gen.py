@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.fields import GF2k
-from repro.net.simulator import Send, SynchronousNetwork
+from repro.net.transport import Send
 from repro.poly.polynomial import Polynomial, horner_batch
 from repro.protocols.coin_expose import coin_expose_many
 from repro.protocols.coin_gen import (

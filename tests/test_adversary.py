@@ -12,7 +12,8 @@ from repro.net.adversary import (
     equivocator_program,
     silent_program,
 )
-from repro.net.simulator import ALL, Send, SynchronousNetwork, multicast, unicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import ALL, Send, multicast, unicast
 
 
 def collector(rounds):
@@ -26,7 +27,7 @@ def collector(rounds):
 
 class TestBehaviours:
     def test_silent_never_sends(self):
-        net = SynchronousNetwork(2, max_rounds=20)
+        net = ProtocolRuntime(2, max_rounds=20)
         out = net.run({1: collector(3), 2: silent_program()}, wait_for=[1])
         assert all(inbox == {} for inbox in out[1])
 
@@ -35,7 +36,7 @@ class TestBehaviours:
             while True:
                 yield [multicast(("t", me))]
 
-        net = SynchronousNetwork(2, max_rounds=30)
+        net = ProtocolRuntime(2, max_rounds=30)
         out = net.run(
             {1: collector(5), 2: crash_program(3, chatty(2))}, wait_for=[1]
         )
@@ -51,7 +52,7 @@ class TestBehaviours:
             return inbox
 
         rng = random.Random(0)
-        net = SynchronousNetwork(2, max_rounds=20)
+        net = ProtocolRuntime(2, max_rounds=20)
         out = net.run(
             {1: honest(), 2: echo_noise_program(2, rng)}, wait_for=[1]
         )
@@ -77,7 +78,7 @@ class TestBehaviours:
                 for p in inbox.get(3, []):
                     received.setdefault(me, set()).add(p)
 
-        net = SynchronousNetwork(3, max_rounds=40)
+        net = ProtocolRuntime(3, max_rounds=40)
         net.run(
             {
                 1: listener(1),

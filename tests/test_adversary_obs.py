@@ -29,11 +29,11 @@ CORRUPT = 4
 
 
 def traced_coin_gen(faulty_programs=None, seed=SEED):
-    tracer = Tracer()
     recorder = SpanRecorder()
     ctx = ProtocolContext.create(GF2k(16), n=N, t=T, seed=seed,
-                                 tracer=tracer, recorder=recorder)
-    outputs, _ = run_coin_gen(GF2k(16), context=ctx, M=1, tag="cg",
+                                 recorder=recorder)
+    tracer = Tracer().attach(ctx.ensure_bus())
+    outputs, _ = run_coin_gen(ctx, M=1, tag="cg",
                               faulty_programs=faulty_programs)
     return tracer, recorder, outputs
 

@@ -28,7 +28,7 @@ from repro.net import (
     guarded,
     wait_any,
 )
-from repro.net.simulator import SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
 from repro.net.transport import ProtocolViolation, multicast, unicast
 from repro.obs.bus import SENT, EventBus
 from repro.obs.causality import CausalRecorder, graph_from_log
@@ -87,7 +87,7 @@ class TestGuards:
             yield []  # plain style fixed here
             yield guarded([], tags="x")
 
-        net = SynchronousNetwork(3)
+        net = ProtocolRuntime(3)
         with pytest.raises(ProtocolViolation, match="yield style"):
             net.run({1: bad(3)})
 
@@ -242,7 +242,7 @@ class TestExhaustion:
             while True:
                 yield []
 
-        net = SynchronousNetwork(1, max_rounds=5)
+        net = ProtocolRuntime(1, max_rounds=5)
         with pytest.raises(RuntimeExhausted, match="max_rounds"):
             net.run({1: forever()})
 
@@ -250,7 +250,7 @@ class TestExhaustion:
         def stuck_program():
             yield guarded([], tags="never/coming", quorum=1)
 
-        net = SynchronousNetwork(2, max_rounds=100_000)
+        net = ProtocolRuntime(2, max_rounds=100_000)
         with pytest.raises(RuntimeExhausted) as exc_info:
             net.run({1: stuck_program()})
         assert exc_info.value.stuck == {1: ("never/coming",)}
@@ -292,7 +292,7 @@ class TestOneBodyTwoRuntimes:
                 for pid in range(1, 8)
             }
 
-        lockstep = SynchronousNetwork(7, field=FIELD).run(programs())
+        lockstep = ProtocolRuntime(7, field=FIELD).run(programs())
         async_rt = AsyncRuntime(
             7, field=FIELD, scheduler=RandomOrderScheduler(11)
         )
@@ -302,7 +302,7 @@ class TestOneBodyTwoRuntimes:
 
     def test_guarded_coin_on_permuted_lockstep(self):
         secret, shares = make_dealer_coin(FIELD, 7, 2, "c", random.Random(5))
-        net = SynchronousNetwork(
+        net = ProtocolRuntime(
             7, field=FIELD, scheduler=PermutedDeliveryScheduler(3)
         )
         outputs = net.run({

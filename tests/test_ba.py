@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.net.adversary import silent_program
-from repro.net.simulator import Send, multicast
+from repro.net.transport import Send, multicast
 from repro.protocols.ba import phase_king, run_phase_king
 
 N, T = 9, 2

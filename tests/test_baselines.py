@@ -13,7 +13,7 @@ from repro.baselines import (
     run_from_scratch_coin,
 )
 from repro.net.adversary import silent_program
-from repro.net.simulator import Send
+from repro.net.transport import Send
 
 F = GF2k(16)
 N, T = 7, 2

@@ -6,7 +6,7 @@ import pytest
 
 from repro.fields import GF2k
 from repro.net.adversary import silent_program
-from repro.net.simulator import Send, unicast
+from repro.net.transport import Send, unicast
 from repro.poly.polynomial import Polynomial
 from repro.protocols.bit_gen import run_bit_gen
 
@@ -88,7 +88,7 @@ class TestFaultyDealer:
         still learn F from the other announcements."""
         from repro.protocols.bit_gen import bit_gen_program
         from repro.protocols.coin_expose import make_dealer_coin
-        from repro.net.simulator import SynchronousNetwork
+        from repro.net.runtime import ProtocolRuntime
 
         rng = random.Random(11)
         polys = [Polynomial.random(F, T, rng) for _ in range(5)]
@@ -113,7 +113,7 @@ class TestFaultyDealer:
             programs[pid] = (
                 drop_first_round_to(N, base) if pid == 1 else base
             )
-        net = SynchronousNetwork(N, field=F, allow_broadcast=False)
+        net = ProtocolRuntime(N, field=F, allow_broadcast=False)
         outputs = net.run(programs)
         # players 1..n-1 got shares; player n did not, but still decodes F
         assert all(o.accepted for o in outputs.values())

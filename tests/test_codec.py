@@ -178,7 +178,7 @@ class TestProtocolIntegration:
         """All payloads crossing the simulated network during a real
         Coin-Gen run must survive the wire codec."""
         from repro.fields import GF2k
-        from repro.net.simulator import SynchronousNetwork
+        from repro.net.runtime import ProtocolRuntime
         from repro.protocols.coin_gen import make_seed_coins, coin_gen_program
         import random
 
@@ -187,16 +187,16 @@ class TestProtocolIntegration:
         seeds = make_seed_coins(F, n, t, 4, random.Random(0))
 
         crossing = []
-        original_expand = SynchronousNetwork._expand
+        original_expand = ProtocolRuntime._expand
 
         def spying_expand(self, src, sends):
             deliveries = original_expand(self, src, sends)
             crossing.extend(payload for _, payload in deliveries)
             return deliveries
 
-        SynchronousNetwork._expand = spying_expand
+        ProtocolRuntime._expand = spying_expand
         try:
-            net = SynchronousNetwork(n, field=F, allow_broadcast=False)
+            net = ProtocolRuntime(n, field=F, allow_broadcast=False)
             programs = {
                 pid: coin_gen_program(
                     F, n, t, pid, 2, seeds[pid], random.Random(pid)
@@ -205,7 +205,7 @@ class TestProtocolIntegration:
             }
             net.run(programs)
         finally:
-            SynchronousNetwork._expand = original_expand
+            ProtocolRuntime._expand = original_expand
 
         assert crossing
         for payload in crossing:

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.fields import GF2k
-from repro.net.simulator import Send, SynchronousNetwork, multicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import Send, multicast
 from repro.protocols.coin_expose import (
     CoinShare,
     coin_expose,
@@ -21,7 +22,7 @@ N, T = 7, 1
 
 def run_expose(coin_shares, faulty=None, n=N):
     """Run one expose round; faulty maps pid -> replacement program."""
-    net = SynchronousNetwork(n, field=F, allow_broadcast=False)
+    net = ProtocolRuntime(n, field=F, allow_broadcast=False)
     programs = {}
     faulty = faulty or {}
     for pid in range(1, n + 1):
@@ -144,7 +145,7 @@ class TestHelpers:
             secrets.append(s)
             share_maps.append(m)
 
-        net = SynchronousNetwork(N, field=F, allow_broadcast=False)
+        net = ProtocolRuntime(N, field=F, allow_broadcast=False)
         programs = {
             pid: coin_expose_many(
                 F, pid, [share_maps[i][pid] for i in range(3)]

@@ -15,7 +15,7 @@ from repro.net.adversary import (
     echo_noise_program,
     silent_program,
 )
-from repro.net.simulator import Send
+from repro.net.transport import Send
 from repro.protocols.coin_gen import (
     CoinGenOutput,
     expose_coin,
@@ -167,7 +167,7 @@ class TestAdversaries:
         coin_id = outputs[1].coins[0].coin_id
 
         def liar(n):
-            from repro.net.simulator import multicast
+            from repro.net.transport import multicast
 
             def program():
                 yield [multicast(("expose/" + coin_id, 424242))]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.net.adversary import silent_program
-from repro.net.simulator import Send
+from repro.net.transport import Send
 from repro.protocols.eig import eig_program, run_eig
 
 

@@ -38,7 +38,7 @@ def record_coin_gen(field, n=7, t=1, seed=3, scheduler=None, faults=None,
                                  scheduler=scheduler, faults=faults)
     recorder = FlightRecorder(n=n, t=t, field=field, seed=seed)
     recorder.attach(ctx.ensure_bus())
-    outputs, _ = run_coin_gen(field, context=ctx, M=M, tag="cg", **kwargs)
+    outputs, _ = run_coin_gen(ctx, M=M, tag="cg", **kwargs)
     return recorder.log(), outputs, ctx
 
 
@@ -109,8 +109,8 @@ class TestLosslessRoundTrip:
         ctx = ProtocolContext.create(field, n=7, t=1, seed=3)
         recorder = FlightRecorder(n=7, t=1, field=field, seed=3)
         recorder.attach(ctx.ensure_bus())
-        run_coin_gen(field, context=ctx, M=1, tag="one")
-        run_coin_gen(field, context=ctx, M=1, tag="two")
+        run_coin_gen(ctx, M=1, tag="one")
+        run_coin_gen(ctx, M=1, tag="two")
         log = recorder.log()
         assert log.runs() == [1, 2]
         reloaded = FlightLog.loads(log.dumps())
@@ -327,6 +327,77 @@ class TestVersioning:
             FlightLog.loads("")
 
 
+MALFORMED = [
+    "header without t", "header without n", "header is a list",
+    "record without e", "record without r", "record is []",
+    "n is 'seven'", "t is -1", "n is 0", "delivery from player 99",
+]
+
+
+def _malformed(lines, case):
+    """A valid log's lines with one field edited as ``case`` names."""
+    header = json.loads(lines[0])
+    records = [json.loads(line) for line in lines[1:]]
+    first_round = next(r for r in records if r["e"] == "round")
+    if case == "header without t":
+        del header["t"]
+    elif case == "header without n":
+        del header["n"]
+    elif case == "header is a list":
+        header = list(header.items())
+    elif case == "record without e":
+        del first_round["e"]
+    elif case == "record without r":
+        del first_round["r"]
+    elif case == "record is []":
+        records.insert(1, [])
+    elif case == "n is 'seven'":
+        header["n"] = "seven"
+    elif case == "t is -1":
+        header["t"] = -1
+    elif case == "n is 0":
+        header["n"] = 0
+    elif case == "delivery from player 99":
+        first_round["d"][0][1] = 99
+    return "\n".join(json.dumps(item) for item in [header] + records)
+
+
+class TestMalformedLogsFailClosed:
+    """A malformed log is a ``ValueError`` from ``loads`` and exit 2 from
+    ``repro replay`` and ``repro forensics``, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def valid_lines(self):
+        log, _, _ = record_coin_gen(GF2k(16))
+        return log.dumps().splitlines()
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejected(self, case, valid_lines, tmp_path, capsys):
+        from repro.cli import main
+
+        text = _malformed(valid_lines, case)
+        with pytest.raises(ValueError):
+            FlightLog.loads(text)
+        path = tmp_path / "bad.flightlog"
+        path.write_text(text)
+        capsys.readouterr()
+        for command in ("replay", "forensics"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1
+            assert "not a flight log" in err
+
+    def test_unedited_log_loads(self, valid_lines, tmp_path):
+        from repro.cli import main
+
+        text = "\n".join(valid_lines)
+        assert FlightLog.loads(text).dumps() == text + "\n"
+        path = tmp_path / "good.flightlog"
+        path.write_text(text)
+        assert main(["replay", str(path)]) == 0
+
+
 class TestZeroCostDiscipline:
     def test_run_without_recorder_is_byte_identical(self):
         """Attaching a flight recorder must not perturb the run."""
@@ -337,7 +408,7 @@ class TestZeroCostDiscipline:
                     ctx.ensure_bus()
                 )
             outputs, metrics = run_coin_gen(
-                ctx.field, context=ctx, M=2, tag="cg"
+                ctx, M=2, tag="cg"
             )
             shaped = {
                 pid: (o.success, o.clique, o.iterations, o.seed_coins_used,

@@ -20,7 +20,8 @@ from repro.net.adversary import (
     silent_program,
 )
 from repro.net.faults import FaultPlane
-from repro.net.simulator import SynchronousNetwork, multicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import multicast
 from repro.obs.flight import FlightLog, FlightRecorder
 from repro.obs.forensics import Accusation, AccusationReport, analyze_log
 from repro.protocols.coin_gen import run_coin_gen
@@ -32,7 +33,7 @@ def forensics_run(field, n, t, seed, faulty_programs=None, faults=None):
     ctx = ProtocolContext.create(field, n=n, t=t, seed=seed, faults=faults)
     recorder = FlightRecorder(n=n, t=t, field=field, seed=seed)
     recorder.attach(ctx.ensure_bus())
-    run_coin_gen(field, context=ctx, M=1, tag="cg",
+    run_coin_gen(ctx, M=1, tag="cg",
                  faulty_programs=faulty_programs)
     return analyze_log(recorder.log())
 
@@ -129,7 +130,7 @@ class TestTwoCorrupt:
         # two different payloads nested past both the codec's depth
         # limit and repr's recursion limit must still count as distinct
         n = 5
-        from repro.net.simulator import Send
+        from repro.net.transport import Send
 
         def nested(leaf):
             for _ in range(5000):
@@ -145,7 +146,7 @@ class TestTwoCorrupt:
                    for dst in range(1, n + 1)]
             return None
 
-        network = SynchronousNetwork(n, allow_broadcast=False)
+        network = ProtocolRuntime(n, allow_broadcast=False)
         recorder = FlightRecorder(n=n, t=1)
         recorder.attach(network.bus)
         programs = {pid: honest(pid) for pid in range(1, n)}
@@ -172,7 +173,7 @@ class TestSoundness:
             yield [multicast(("customproto/x", me))]
             return None
 
-        network = SynchronousNetwork(n, allow_broadcast=False)
+        network = ProtocolRuntime(n, allow_broadcast=False)
         recorder = FlightRecorder(n=n, t=1)
         recorder.attach(network.bus)
         network.run({pid: program(pid) for pid in range(1, n + 1)})
@@ -191,7 +192,7 @@ class TestSoundness:
             yield [multicast(("customproto/x", me))]
             return None
 
-        network = SynchronousNetwork(n, allow_broadcast=False)
+        network = ProtocolRuntime(n, allow_broadcast=False)
         recorder = FlightRecorder(n=n, t=1)
         recorder.attach(network.bus)
         programs = {pid: honest(pid) for pid in range(1, n)}
@@ -207,14 +208,14 @@ class TestSoundness:
         # implied by test_honest_runs_produce_zero_accusations, asserted
         # directly here on the rule itself
         n = 5
-        from repro.net.simulator import Send
+        from repro.net.transport import Send
 
         def dealer(me):
             yield [Send(dst, ("cg/sh", me * 100 + dst))
                    for dst in range(1, n + 1)]
             return None
 
-        network = SynchronousNetwork(n, allow_broadcast=False)
+        network = ProtocolRuntime(n, allow_broadcast=False)
         recorder = FlightRecorder(n=n, t=1)
         recorder.attach(network.bus)
         network.run({pid: dealer(pid) for pid in range(1, n + 1)})
@@ -229,7 +230,7 @@ class TestReportShape:
         recorder.attach(ctx.ensure_bus())
         rng = random.Random(7)
         run_coin_gen(
-            ctx.field, context=ctx, M=1, tag="cg",
+            ctx, M=1, tag="cg",
             faulty_programs={
                 4: lambda honest: equivocator_program(7, rng, honest)
             },
@@ -252,7 +253,7 @@ class TestReportShape:
         ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=5)
         recorder = FlightRecorder(n=7, t=1, field=ctx.field, seed=5)
         recorder.attach(ctx.ensure_bus())
-        run_coin_gen(ctx.field, context=ctx, M=1, tag="cg",
+        run_coin_gen(ctx, M=1, tag="cg",
                      faulty_programs={3: silent_program()})
         log = recorder.log()
         direct = analyze_log(log)

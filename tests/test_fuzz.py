@@ -10,7 +10,8 @@ import random
 import pytest
 
 from repro.fields import GF2k
-from repro.net.simulator import ALL, Send, SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import ALL, Send
 from repro.protocols.coin_gen import (
     coin_gen_program,
     expose_coin,
@@ -91,7 +92,7 @@ def test_rushing_chaotic_adversary(seed):
     bad = rng.randrange(1, N + 1)
     seeds = make_seed_coins(F, N, T, 4, random.Random(seed))
 
-    net = SynchronousNetwork(
+    net = ProtocolRuntime(
         N, field=F, allow_broadcast=False, rushing=[bad]
     )
     programs = {}

@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from repro.net.simulator import Send, SynchronousNetwork, multicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import Send, multicast
 from repro.protocols.gradecast import parallel_gradecast
 
 N, T = 7, 2
 
 
 def run_gradecast(values, faulty=None, n=N, t=T):
-    net = SynchronousNetwork(n, allow_broadcast=False)
+    net = ProtocolRuntime(n, allow_broadcast=False)
     programs = {}
     faulty = faulty or {}
     for pid in range(1, n + 1):

@@ -25,7 +25,7 @@ import pytest
 from repro.fields import GF2k
 from repro.net import AsyncRuntime, RandomOrderScheduler, Wait
 from repro.net.guards import guarded, wait_any
-from repro.net.simulator import SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
 from repro.obs import (
     QuorumLatencyRecorder,
     SpanRecorder,
@@ -134,7 +134,7 @@ class TestLivenessTopics:
         bus = EventBus()
         events = _topic_log(bus, (GUARD_ARMED, GUARD_PROGRESS, GUARD_FIRED))
         secret, shares = make_dealer_coin(FIELD, 7, 2, "c", random.Random(5))
-        net = SynchronousNetwork(7, field=FIELD, bus=bus)
+        net = ProtocolRuntime(7, field=FIELD, bus=bus)
         outputs = net.run({
             pid: async_coin_program(FIELD, 7, pid, shares[pid])
             for pid in range(1, 8)
@@ -176,7 +176,7 @@ class TestByteIdentity:
             QuorumLatencyRecorder().attach(bus)
             StallWatchdog(7).attach(bus)
         secret, shares = make_dealer_coin(FIELD, 7, 2, "c", random.Random(5))
-        net = SynchronousNetwork(7, field=FIELD, bus=bus)
+        net = ProtocolRuntime(7, field=FIELD, bus=bus)
         outputs = net.run({
             pid: async_coin_program(FIELD, 7, pid, shares[pid])
             for pid in range(1, 8)

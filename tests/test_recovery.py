@@ -6,7 +6,7 @@ import pytest
 
 from repro.fields import GF2k
 from repro.net.adversary import silent_program
-from repro.net.simulator import SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
 from repro.protocols.recovery import run_recovery
 
@@ -44,7 +44,7 @@ class TestRecovery:
         secrets, table, _ = make_coin_table(2, seed=3, lost_by=6)
         outputs, _ = run_recovery(F, N, T, recovering=6, coin_table=table, seed=4)
         new_table = {pid: outputs[pid].coins for pid in outputs}
-        net = SynchronousNetwork(N, field=F, allow_broadcast=False)
+        net = ProtocolRuntime(N, field=F, allow_broadcast=False)
         programs = {
             pid: coin_expose(F, pid, new_table[pid][0])
             for pid in range(1, N + 1)
@@ -76,7 +76,7 @@ class TestRecovery:
         player decodes differs from the real coin polynomial everywhere
         except at its own point (the z-dealings re-randomize it)."""
         from repro.poly.berlekamp_welch import berlekamp_welch
-        from repro.net.simulator import SynchronousNetwork
+        from repro.net.runtime import ProtocolRuntime
         from repro.protocols.recovery import recovery_program
         from repro.protocols.coin_gen import make_seed_coins
         from repro.sharing.shamir import ShamirScheme
@@ -84,7 +84,7 @@ class TestRecovery:
         secrets, table, originals = make_coin_table(1, seed=9, lost_by=1)
         # capture the masked messages crossing the wire
         crossing = []
-        original_expand = SynchronousNetwork._expand
+        original_expand = ProtocolRuntime._expand
 
         def spying(self, src, sends):
             deliveries = original_expand(self, src, sends)
@@ -93,13 +93,13 @@ class TestRecovery:
                     crossing.append((src, payload[1]))
             return deliveries
 
-        SynchronousNetwork._expand = spying
+        ProtocolRuntime._expand = spying
         try:
             outputs, _ = run_recovery(
                 F, N, T, recovering=1, coin_table=table, seed=10
             )
         finally:
-            SynchronousNetwork._expand = original_expand
+            ProtocolRuntime._expand = original_expand
 
         assert outputs[1].coins[0].my_value == originals[1][0]
         scheme = ShamirScheme(F, N, T)

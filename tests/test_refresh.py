@@ -6,7 +6,7 @@ import pytest
 
 from repro.fields import GF2k
 from repro.net.adversary import silent_program
-from repro.net.simulator import SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
 from repro.protocols.refresh import run_refresh
 
@@ -27,7 +27,7 @@ def make_coin_table(count, seed=0):
 
 
 def expose_all(coin_table, h, exclude=()):
-    net = SynchronousNetwork(N, field=F, allow_broadcast=False)
+    net = ProtocolRuntime(N, field=F, allow_broadcast=False)
     programs = {
         pid: coin_expose(F, pid, coin_table[pid][h])
         for pid in range(1, N + 1)

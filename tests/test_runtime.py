@@ -3,8 +3,7 @@
 The stack under test (DESIGN.md, "Runtime architecture"):
 ``Transport`` (channel primitives + metering) -> ``Scheduler`` (stepping
 and delivery order) -> ``FaultPlane`` (optional message/player faults)
--> ``ProtocolRuntime`` (the synchronous round loop), with
-``SynchronousNetwork`` as the compatibility facade.
+-> ``ProtocolRuntime`` (the synchronous round loop).
 """
 
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ from repro.net import (
     ProtocolRuntime,
     ProtocolViolation,
     Send,
-    SynchronousNetwork,
     Tracer,
     broadcast,
     make_transport,
@@ -114,7 +112,7 @@ class TestScheduler:
 
     def test_rushing_set_frozen_and_merged(self):
         sched = PermutedDeliveryScheduler(seed=1, rushing=(3,))
-        net = SynchronousNetwork(4, rushing=(2,), scheduler=sched)
+        net = ProtocolRuntime(4, rushing=(2,), scheduler=sched)
         assert net.rushing == frozenset({2, 3})
         # the shared scheduler instance is not mutated by the network
         assert sched.rushing == frozenset({3})
@@ -174,7 +172,7 @@ class TestRuntimeFaults:
     def test_crashed_player_stops_sending_and_is_not_waited(self):
         n = 4
         plane = FaultPlane().crash(4, at_round=2)
-        net = SynchronousNetwork(n, faults=plane)
+        net = ProtocolRuntime(n, faults=plane)
         programs = {pid: echo_program(n, pid, rounds=3) for pid in range(1, n + 1)}
         outputs = net.run(programs)
         # player 4 never finished (crashed mid-run), others did
@@ -187,7 +185,7 @@ class TestRuntimeFaults:
     def test_silenced_player_resumes(self):
         n = 3
         plane = FaultPlane().silence(2, [2])
-        net = SynchronousNetwork(n, faults=plane)
+        net = ProtocolRuntime(n, faults=plane)
         programs = {pid: echo_program(n, pid, rounds=3) for pid in range(1, n + 1)}
         outputs = net.run(programs)
         seen = outputs[1]
@@ -197,10 +195,10 @@ class TestRuntimeFaults:
 
     def test_dropped_edge_is_still_metered(self):
         n = 3
-        net_clean = SynchronousNetwork(n)
+        net_clean = ProtocolRuntime(n)
         net_clean.run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
         plane = FaultPlane().drop(src=1)
-        net_faulty = SynchronousNetwork(n, faults=plane)
+        net_faulty = ProtocolRuntime(n, faults=plane)
         net_faulty.run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
         # faults apply after metering: the sender still paid for the sends
         assert (
@@ -210,11 +208,11 @@ class TestRuntimeFaults:
 
     def test_permuted_scheduler_preserves_inboxes(self):
         n = 4
-        base = SynchronousNetwork(n)
+        base = ProtocolRuntime(n)
         base_out = base.run(
             {pid: echo_program(n, pid, rounds=2) for pid in range(1, n + 1)}
         )
-        perm = SynchronousNetwork(
+        perm = ProtocolRuntime(
             n, scheduler=PermutedDeliveryScheduler(seed=77)
         )
         perm_out = perm.run(
@@ -235,8 +233,8 @@ class DemoPayload:
 class TestTracer:
     def test_tracer_attaches_via_runtime(self):
         n = 3
-        tracer = Tracer()
-        net = SynchronousNetwork(n, tracer=tracer)
+        net = ProtocolRuntime(n)
+        tracer = Tracer().attach(net.bus)
         net.run({pid: echo_program(n, pid, rounds=2) for pid in range(1, n + 1)})
         assert len(tracer.rounds) == net.metrics.rounds
         # every sending round is recorded (the final round is the empty
@@ -246,13 +244,11 @@ class TestTracer:
 
     def test_tracer_identical_under_schedulers(self):
         n = 3
-        t_lock, t_perm = Tracer(), Tracer()
-        SynchronousNetwork(n, tracer=t_lock).run(
-            {pid: echo_program(n, pid) for pid in range(1, n + 1)}
-        )
-        SynchronousNetwork(
-            n, tracer=t_perm, scheduler=PermutedDeliveryScheduler(seed=3)
-        ).run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
+        lock = ProtocolRuntime(n)
+        perm = ProtocolRuntime(n, scheduler=PermutedDeliveryScheduler(seed=3))
+        t_lock, t_perm = Tracer().attach(lock.bus), Tracer().attach(perm.bus)
+        lock.run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
+        perm.run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
         assert [r.messages for r in t_lock.rounds] == [
             r.messages for r in t_perm.rounds
         ]
@@ -280,7 +276,7 @@ class TestProtocolContext:
             field, n=7, t=1, seed=11, scheduler=sched, faults=plane
         )
         net = ctx.network(allow_broadcast=False)
-        assert isinstance(net, SynchronousNetwork)
+        assert isinstance(net, ProtocolRuntime)
         assert net.scheduler is sched
         assert net.faults is plane
         assert not net.allow_broadcast

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.fields import GF2k
 from repro.net import PermutedDeliveryScheduler, RandomOrderScheduler
-from repro.net.simulator import SynchronousNetwork
+from repro.net.runtime import ProtocolRuntime
 from repro.protocols.async_coin import async_coin_program, run_async_coin
 from repro.protocols.batch_vss import run_batch_vss
 from repro.protocols.bit_gen import run_bit_gen
@@ -170,7 +170,7 @@ def test_coin_body_equivalent_across_runtimes(sched_seed, run_seed):
         PermutedDeliveryScheduler(seed=sched_seed),
         RandomOrderScheduler(seed=sched_seed),
     ):
-        net = SynchronousNetwork(7, field=FIELD, scheduler=scheduler)
+        net = ProtocolRuntime(7, field=FIELD, scheduler=scheduler)
         out = net.run(programs())
         assert set(out.values()) == {secret}
 

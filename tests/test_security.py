@@ -11,7 +11,7 @@ import pytest
 
 from repro.fields import GF2k
 from repro.net.adversary import silent_program
-from repro.net.simulator import Send, unicast
+from repro.net.transport import Send, unicast
 from repro.protocols.coin_gen import expose_coin, run_coin_gen
 
 FAST = GF2k(16)

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.fields import GF2k
-from repro.net.simulator import (
+from repro.net.transport import (
     ALL,
     ProtocolViolation,
     Send,
-    SynchronousNetwork,
     broadcast,
     multicast,
     unicast,
 )
+from repro.net.runtime import ProtocolRuntime
 
 
 def echo_once(me, dst, payload):
@@ -31,7 +31,7 @@ class TestDelivery:
             inbox = yield []
             return inbox
 
-        net = SynchronousNetwork(3)
+        net = ProtocolRuntime(3)
         out = net.run({1: sender(), 2: receiver(), 3: receiver()})
         assert out[2] == {1: ["secret"]}
         assert out[3] == {}
@@ -42,7 +42,7 @@ class TestDelivery:
             inbox = yield [multicast(("tag", me))]
             return sorted(inbox)
 
-        net = SynchronousNetwork(3)
+        net = ProtocolRuntime(3)
         out = net.run({pid: prog(pid) for pid in range(1, 4)})
         assert out == {1: [1, 2, 3], 2: [1, 2, 3], 3: [1, 2, 3]}
 
@@ -54,7 +54,7 @@ class TestDelivery:
             inbox = yield []
             return inbox
 
-        net = SynchronousNetwork(2)
+        net = ProtocolRuntime(2)
         out = net.run({1: sender(), 2: receiver()})
         assert out[2] == {1: ["a", "b"]}
 
@@ -64,7 +64,7 @@ class TestDelivery:
             yield []
             yield []
 
-        net = SynchronousNetwork(1)
+        net = ProtocolRuntime(1)
         net.run({1: prog()})
         assert net.metrics.rounds == 4  # 3 yields + final advance
 
@@ -82,7 +82,7 @@ class TestDelivery:
             inbox = yield []
             log.append(("b2", dict(inbox)))
 
-        net = SynchronousNetwork(2)
+        net = ProtocolRuntime(2)
         net.run({1: a(), 2: b()})
         assert ("b1", {1: ["x"]}) in log
         assert ("b2", {}) in log
@@ -94,33 +94,33 @@ class TestValidation:
             yield ["not-a-send"]
 
         with pytest.raises(ProtocolViolation):
-            SynchronousNetwork(1).run({1: bad()})
+            ProtocolRuntime(1).run({1: bad()})
 
     def test_bad_destination_rejected(self):
         def bad():
             yield [unicast(99, "x")]
 
         with pytest.raises(ProtocolViolation):
-            SynchronousNetwork(2).run({1: bad()})
+            ProtocolRuntime(2).run({1: bad()})
 
     def test_broadcast_forbidden_in_p2p_model(self):
         def bc():
             yield [broadcast("x")]
 
-        net = SynchronousNetwork(2, allow_broadcast=False)
+        net = ProtocolRuntime(2, allow_broadcast=False)
         with pytest.raises(ProtocolViolation):
             net.run({1: bc()})
 
     def test_unknown_player_program(self):
         with pytest.raises(ValueError):
-            SynchronousNetwork(2).run({5: iter(())})
+            ProtocolRuntime(2).run({5: iter(())})
 
     def test_max_rounds(self):
         def forever():
             while True:
                 yield []
 
-        net = SynchronousNetwork(1, max_rounds=10)
+        net = ProtocolRuntime(1, max_rounds=10)
         with pytest.raises(ProtocolViolation):
             net.run({1: forever()})
 
@@ -135,7 +135,7 @@ class TestWaitFor:
             while True:
                 yield []
 
-        net = SynchronousNetwork(2, max_rounds=50)
+        net = ProtocolRuntime(2, max_rounds=50)
         out = net.run({1: honest(), 2: faulty()}, wait_for=[1])
         assert out == {1: "done"}
 
@@ -153,7 +153,7 @@ class TestRushing:
             peeked.append(inbox.get("rush_peek"))
             yield []
 
-        net = SynchronousNetwork(2, rushing=[2])
+        net = ProtocolRuntime(2, rushing=[2])
         net.run({1: honest(), 2: rusher()}, wait_for=[1])
         assert {1: ["early-bird"]} in peeked
 
@@ -170,7 +170,7 @@ class TestIdealBroadcastSemantics:
             inbox = yield []
             return inbox
 
-        net = SynchronousNetwork(4)
+        net = ProtocolRuntime(4)
         out = net.run({1: sender(), 2: listener(), 3: listener(), 4: listener()})
         views = {repr(out[pid]) for pid in (2, 3, 4)}
         assert views == {repr({1: [("tag", 42)]})}
@@ -180,7 +180,7 @@ class TestIdealBroadcastSemantics:
             yield [Send(2, "x", broadcast=True)]
 
         with pytest.raises(ProtocolViolation):
-            SynchronousNetwork(3).run({1: bad()})
+            ProtocolRuntime(3).run({1: bad()})
 
 
 class TestMetering:
@@ -193,7 +193,7 @@ class TestMetering:
         def listener():
             yield []
 
-        net = SynchronousNetwork(3, field=F)
+        net = ProtocolRuntime(3, field=F)
         net.run({1: sender(), 2: listener(), 3: listener()})
         assert net.metrics.unicast_messages == 3
         assert net.metrics.bits == 3 * 8
@@ -204,7 +204,7 @@ class TestMetering:
         def sender():
             yield [broadcast(("t", 255))]
 
-        net = SynchronousNetwork(3, field=F)
+        net = ProtocolRuntime(3, field=F)
         net.run({1: sender()})
         assert net.metrics.broadcast_messages == 1
         assert net.metrics.unicast_messages == 0
@@ -222,7 +222,7 @@ class TestMetering:
         def idle():
             yield []
 
-        net = SynchronousNetwork(2, field=F)
+        net = ProtocolRuntime(2, field=F)
         net.run({1: worker(), 2: idle()})
         assert net.metrics.ops(1).muls == 5
         assert net.metrics.ops(2).muls == 0

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.fields import GF2k
-from repro.net.simulator import ProtocolViolation, SynchronousNetwork, multicast
+from repro.net.runtime import ProtocolRuntime
+from repro.net.transport import ProtocolViolation, multicast
 from repro.net.trace import Tracer, payload_tag
 from repro.protocols.coin_gen import coin_gen_program, make_seed_coins
 
@@ -14,12 +15,11 @@ N, T = 7, 1
 
 
 def run_coin_gen_traced(enforce_codec=False):
-    tracer = Tracer()
     seeds = make_seed_coins(F, N, T, 4, random.Random(0))
-    net = SynchronousNetwork(
-        N, field=F, allow_broadcast=False, observer=tracer.observe,
-        enforce_codec=enforce_codec,
+    net = ProtocolRuntime(
+        N, field=F, allow_broadcast=False, enforce_codec=enforce_codec,
     )
+    tracer = Tracer().attach(net.bus)
     programs = {
         pid: coin_gen_program(F, N, T, pid, 2, seeds[pid], random.Random(pid))
         for pid in range(1, N + 1)
@@ -75,10 +75,8 @@ class TestTracerUnderFaults:
 
     def _run(self, plane):
         n = 3
-        tracer = Tracer()
-        net = SynchronousNetwork(
-            n, field=F, allow_broadcast=False, faults=plane, tracer=tracer
-        )
+        net = ProtocolRuntime(n, field=F, allow_broadcast=False, faults=plane)
+        tracer = Tracer().attach(net.bus)
         net.run({pid: self._ping(pid, n) for pid in range(1, n + 1)})
         return tracer, net
 
@@ -109,7 +107,7 @@ class TestTracerUnderFaults:
         n = 3
         recorder = SpanRecorder()
         plane = FaultPlane().drop(src=3).duplicate(src=2, dst=1)
-        net = SynchronousNetwork(
+        net = ProtocolRuntime(
             n, field=F, allow_broadcast=False, faults=plane,
             recorder=recorder,
         )
@@ -146,6 +144,60 @@ class TestCodecEnforcement:
 
         from repro.net.codec import CodecError
 
-        net = SynchronousNetwork(2, enforce_codec=True)
+        net = ProtocolRuntime(2, enforce_codec=True)
         with pytest.raises(CodecError):
             net.run({1: bad()})
+
+
+class TestTracerOnTheBus:
+    """``Tracer.attach``/``detach`` on both runtimes' event bus."""
+
+    @staticmethod
+    def _pings(n):
+        return {pid: TestTracerUnderFaults._ping(pid, n) for pid in range(1, n + 1)}
+
+    @staticmethod
+    def _runtimes(n):
+        from repro.net.async_runtime import AsyncRuntime
+
+        return [ProtocolRuntime(n, field=F), AsyncRuntime(n, field=F)]
+
+    def test_records_what_a_round_subscriber_sees(self):
+        from repro.obs.bus import ROUND
+
+        for net in self._runtimes(3):
+            tracer = Tracer().attach(net.bus)
+            # a plain ROUND subscriber, as the old constructor hook was
+            direct = Tracer()
+            net.bus.subscribe(ROUND, direct.observe)
+            net.run(self._pings(3))
+            assert tracer.rounds
+            assert tracer.phase_summary() == direct.phase_summary()
+            delivered = getattr(net, "delivery_count", 9)
+            assert tracer.messages_by_tag() == {"ping": delivered}
+
+    def test_detach_stops_recording(self):
+        for net in self._runtimes(3):
+            tracer = Tracer().attach(net.bus)
+            net.run(self._pings(3))
+            seen = len(tracer.rounds)
+            tracer.detach(net.bus)
+            net.run(self._pings(3))
+            assert len(tracer.rounds) == seen
+
+    def test_context_bus_sees_every_run(self):
+        from repro.protocols.context import ProtocolContext
+
+        ctx = ProtocolContext.create(F, n=3, t=0, seed=5)
+        tracer = Tracer().attach(ctx.ensure_bus())
+        lockstep, asynchronous = ctx.network(), ctx.async_runtime()
+        lockstep.run(self._pings(3))
+        asynchronous.run(self._pings(3))
+        assert lockstep.bus is asynchronous.bus is ctx.bus
+        # one trace row per lockstep round, then one per async delivery
+        assert len(tracer.rounds) == (
+            lockstep.metrics.rounds + asynchronous.logical_time
+        )
+        assert tracer.messages_by_tag() == {
+            "ping": 9 + asynchronous.delivery_count
+        }

@@ -42,7 +42,7 @@ class TestRobustMode:
     def test_garbage_broadcaster_vetoes_plain_mode(self):
         """Fig. 2 verbatim: one faulty broadcaster makes honest players
         reject an honest dealer (the fragility the paper acknowledges)."""
-        from repro.net.simulator import broadcast as bc
+        from repro.net.transport import broadcast as bc
 
         def saboteur():
             yield []          # g-share round
@@ -54,7 +54,7 @@ class TestRobustMode:
         assert not any(r.accepted for r in honest.values())
 
     def test_robust_mode_survives_saboteur(self):
-        from repro.net.simulator import broadcast as bc
+        from repro.net.transport import broadcast as bc
 
         def saboteur():
             yield []

@@ -68,7 +68,7 @@ class TestFalseComplaints:
     def test_honest_dealer_survives_false_complainer(self):
         """A faulty player complaining about a perfectly good share just
         gets its (correct) share published — no rejection."""
-        from repro.net.simulator import broadcast as bc
+        from repro.net.transport import broadcast as bc
 
         def false_complainer():
             yield []          # g round
