@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import pathlib
 import sys
@@ -304,6 +305,62 @@ def bench_coin_expose(results, smoke):
                     "ops_per_s": M / wall if wall > 0 else None,
                 }
             )
+    bench_expose_many(results, n, t, (8, 256) if smoke else (16, 256))
+
+
+def bench_expose_many(results, n, t, batch_sizes):
+    """Per-coin wall of one batched ``expose_many`` round at two batch sizes.
+
+    Exposure should cost each receiver one inbox pass plus M decodes, so
+    the per-coin wall must not grow with M; the speedup key
+    ``coin_expose_many_per_coin_small_vs_large_M`` (small-batch over
+    large-batch per-coin wall) drops well below 1 when the inbox read
+    goes quadratic in M.  Dealer coins keep Coin-Gen out of the timing.
+    """
+    from repro.core.dprbg import SharedCoinSystem
+    from repro.core.seed import TrustedDealer
+
+    field = GF2k(32)
+    batches = []
+    for M in batch_sizes:
+        dealer = TrustedDealer(field, n, t, seed=11)
+        coins = dealer.deal_seed(M)
+        expected = [dealer.dealt_secrets[coin.coin_id] for coin in coins]
+        system = SharedCoinSystem(field, n, t, seed=12)
+
+        def expose_batch(system=system, coins=coins, expected=expected):
+            assert system.expose_many(coins) == expected
+
+        expose_batch()  # warm-up (interpolation weights, field tables)
+        batches.append((M, expose_batch))
+    # The sizes take turns, about as many coins each per turn, and each
+    # keeps its best wall: a slow spell of the machine then hits both
+    # sizes instead of one.  The collector is paused, because its pauses
+    # land on one size or the other at random; with either left out the
+    # ratio swung between 0.6 and 1.3 on one machine.
+    best = {M: float("inf") for M in batch_sizes}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for M, expose_batch in batches:
+                for _ in range(max(1, max(batch_sizes) // M)):
+                    start = time.perf_counter()
+                    expose_batch()
+                    best[M] = min(best[M], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    for M in batch_sizes:
+        results.append(
+            {
+                "bench": "coin_expose_many",
+                "n": n,
+                "t": t,
+                "M": M,
+                "wall_s": best[M],
+                "per_coin_s": best[M] / M,
+            }
+        )
 
 
 def bench_critical_path(results, smoke):
@@ -572,6 +629,13 @@ def speedups(results):
             out[f"field_{label}_{op}_numpy_vs_python"] = round(
                 walls["python"] / walls["numpy"], 2
             )
+    per_coin = sorted((row["M"], row["per_coin_s"]) for row in results
+                      if row.get("bench") == "coin_expose_many")
+    if len(per_coin) == 2 and per_coin[1][1] > 0:
+        # below 1 when a bigger batch costs more per coin
+        out["coin_expose_many_per_coin_small_vs_large_M"] = round(
+            per_coin[0][1] / per_coin[1][1], 2
+        )
     for row in results:
         if row.get("bench") != "async_coin":
             continue

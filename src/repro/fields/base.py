@@ -10,6 +10,7 @@ check measured counts against the closed-form lemmas.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Iterator, List, Sequence
@@ -349,8 +350,11 @@ class Field(ABC):
 
     # -- misc --------------------------------------------------------------
     def __contains__(self, a: Element) -> bool:
+        # operator.index refuses floats: 1.5 lies in [0, order) but is no
+        # element, and a faulty player's float share would otherwise reach
+        # the field kernels
         try:
-            return 0 <= self.to_int(a) < self.order
+            return 0 <= operator.index(self.to_int(a)) < self.order
         except (TypeError, ValueError):
             return False
 

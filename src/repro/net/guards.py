@@ -34,20 +34,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.net.trace import payload_tag
 from repro.net.transport import Send
 
 Inbox = Dict[Any, List[Any]]
+
+
+def inbox_tag(payload: Any) -> Optional[str]:
+    """The tag a payload is read under, or None when it has none.
+
+    The one matching rule for reading inboxes by tag: guards count a
+    sender, and :func:`~repro.protocols.common.filter_tag` /
+    :func:`~repro.protocols.common.filter_tags` read its body, only for
+    a ``(tag, body)`` 2-tuple whose head is a string.  Anything else a
+    faulty player sends (other lengths, non-tuples, unhashable or
+    non-string heads) is ignored by both, so a guard never fires on
+    traffic the body cannot see.
+    """
+    if (
+        isinstance(payload, tuple)
+        and len(payload) == 2
+        and isinstance(payload[0], str)
+    ):
+        return payload[0]
+    return None
 
 
 @dataclass(frozen=True)
 class Wait:
     """Sleep until ``quorum`` distinct senders have sent a matching tag.
 
-    A sender counts once when at least one of its pending payloads has a
-    :func:`~repro.net.trace.payload_tag` in ``tags`` — matching the
-    ``filter_tag`` convention protocol bodies use to read the inbox, so
-    "the guard fired" implies "the body will see the quorum".
+    A sender counts once when at least one of its pending payloads has an
+    :func:`inbox_tag` in ``tags`` — the rule ``filter_tag`` uses to read
+    the inbox, so "the guard fired" implies "the body will see the
+    quorum".
     """
 
     tags: Tuple[str, ...]
@@ -67,7 +86,7 @@ class Wait:
         for src, payloads in inbox.items():
             if not isinstance(src, int):
                 continue  # e.g. the lockstep simulator's rush_peek entry
-            if any(payload_tag(payload) in self.tags for payload in payloads):
+            if any(inbox_tag(payload) in self.tags for payload in payloads):
                 senders += 1
                 if senders >= self.quorum:
                     return True
@@ -79,7 +98,7 @@ class Wait:
         for src, payloads in inbox.items():
             if not isinstance(src, int):
                 continue
-            if any(payload_tag(payload) in self.tags for payload in payloads):
+            if any(inbox_tag(payload) in self.tags for payload in payloads):
                 senders.append(src)
         return tuple(sorted(senders))
 

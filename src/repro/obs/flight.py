@@ -45,6 +45,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.net import codec
+from repro.net.guards import inbox_tag
 from repro.net.trace import payload_tag
 from repro.obs.bus import FAULT, ROUND, RUN, EventBus
 
@@ -564,10 +565,9 @@ def replay(log: FlightLog, field=None, t: Optional[int] = None) -> ReplayResult:
             shares: Dict[str, Dict[int, Any]] = {}
             for src, payloads in inbox.items():
                 for payload in payloads:
-                    if (isinstance(payload, tuple) and len(payload) == 2
-                            and isinstance(payload[0], str)
-                            and payload[0].startswith("expose/")):
-                        coin_id = payload[0][len("expose/"):]
+                    tag = inbox_tag(payload)
+                    if tag is not None and tag.startswith("expose/"):
+                        coin_id = tag[len("expose/"):]
                         # the live protocol keeps the first share per
                         # sender (filter_tag semantics)
                         shares.setdefault(coin_id, {}).setdefault(

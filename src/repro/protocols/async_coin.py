@@ -81,6 +81,7 @@ def run_async_coin(
     faults: Optional[FaultPlane] = None,
     crashed=(),
     rng: Optional[random.Random] = None,
+    faulty_programs: Optional[Dict[int, Generator]] = None,
     **context_kwargs,
 ) -> Tuple[Dict[int, Any], Element, AsyncRuntime]:
     """Deal one trusted-dealer coin and expose it on an :class:`AsyncRuntime`.
@@ -90,10 +91,13 @@ def run_async_coin(
     a :class:`~repro.net.scheduler.RandomOrderScheduler` seeded from the
     context seed — pass your own to sweep delivery orders.  ``crashed``
     players never run (crash-from-start); ``faults`` layers mid-run
-    crash/drop/delay rules on top.
+    crash/drop/delay rules on top.  ``faulty_programs`` maps Byzantine
+    player ids to the programs they run instead of the honest one (None:
+    the player is absent); they are never waited for and have no entry
+    in ``outputs``.
 
     Returns ``(outputs, secret, runtime)``: per-player exposed values
-    (unanimously ``secret`` for ≤ t crashes), the dealt secret, and the
+    (unanimously ``secret`` for ≤ t faulty players), the dealt secret, and the
     runtime (``runtime.logical_time`` / ``runtime.delivery_count`` are
     the async makespan).
     """
@@ -114,13 +118,19 @@ def run_async_coin(
         for pid in crashed:
             faults.crash(pid, 1)
     runtime = ctx.async_runtime(scheduler=scheduler, faults=faults)
-    programs = {
-        pid: async_coin_program(ctx.field, ctx.n, pid, shares[pid])
-        for pid in range(1, ctx.n + 1)
-    }
+    faulty_programs = faulty_programs or {}
+    programs = {}
+    for pid in range(1, ctx.n + 1):
+        if pid in faulty_programs:
+            if faulty_programs[pid] is not None:
+                programs[pid] = faulty_programs[pid]
+            continue
+        programs[pid] = async_coin_program(ctx.field, ctx.n, pid, shares[pid])
+    honest = [pid for pid in programs if pid not in faulty_programs]
     with ctx.recorder.span("async_coin", "protocol", n=ctx.n, t=ctx.t):
-        outputs = runtime.run(programs)
+        outputs = runtime.run(programs, wait_for=honest)
     ctx.absorb(runtime.metrics)
+    outputs = {pid: out for pid, out in outputs.items() if pid in honest}
     return outputs, secret, runtime
 
 

@@ -31,7 +31,7 @@ from repro.net.runtime import ProtocolRuntime
 from repro.net.transport import multicast
 from repro.obs.phases import register_tag_phase
 from repro.protocols.ba import phase_king
-from repro.protocols.common import filter_tag, plurality
+from repro.protocols.common import filter_tags, plurality
 from repro.protocols.gradecast import parallel_gradecast
 
 # Bracha reliable-broadcast traffic is broadcast-substrate work, same
@@ -117,12 +117,11 @@ def _reliable_broadcast(
     readied = False
     inbox: Dict[Any, Any] = {}
     while True:
-        inits = filter_tag(inbox, init_tag)
+        read = filter_tags(inbox, (init_tag, echo_tag, ready_tag))
+        inits, echoes, readies = read[init_tag], read[echo_tag], read[ready_tag]
         if not echoed and sender in inits:
             sends.append(multicast((echo_tag, inits[sender])))
             echoed = True
-        echoes = filter_tag(inbox, echo_tag)
-        readies = filter_tag(inbox, ready_tag)
         echo_best = plurality(echoes)
         ready_best = plurality(readies)
         if not readied:

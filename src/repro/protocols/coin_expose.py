@@ -17,6 +17,14 @@ Such a polynomial is unique and identical across honest receivers'
 (possibly different) views, because any two qualifying polynomials agree
 on at least t+1 honestly-sent (hence common) points.  This preserves
 unanimity even when faulty senders equivocate.
+
+Batched exposure
+----------------
+:func:`coin_expose_many` exposes M coins in the same single round.  Each
+receiver reads all M coins' shares from its inbox in one pass
+(:func:`~repro.protocols.common.filter_tags`), so a batch costs it
+O(n·M) payload checks plus M decodes — not the O(n·M²) of one inbox scan
+per coin.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from repro.fields.base import Element, Field
 from repro.obs.phases import register_tag_phase
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
 from repro.net.transport import Send, multicast
-from repro.protocols.common import filter_tag, valid_element
+from repro.protocols.common import filter_tags, valid_element
 
 # every Coin-Expose message (seed challenges, leader coins, generated
 # batches) is tagged "expose/<coin_id>"
@@ -81,17 +89,21 @@ def coin_expose_many(field: Field, me: int, coins) -> Generator:
 
     Returns a list of exposed values (None entries for failures).  Used by
     the ``shared_challenge=False`` ablation of Coin-Gen, where every
-    Bit-Gen instance consumes its own challenge coin.
+    Bit-Gen instance consumes its own challenge coin, and by
+    ``SharedCoinSystem.expose_many``.  Every coin's shares are read from
+    the inbox in one :func:`~repro.protocols.common.filter_tags` pass.
     """
+    tags = ["expose/" + coin.coin_id for coin in coins]
     sends = []
-    for coin in coins:
+    for coin, tag in zip(coins, tags):
         if me in coin.senders and coin.my_value is not None:
-            sends.append(multicast(("expose/" + coin.coin_id, coin.my_value)))
+            sends.append(multicast((tag, coin.my_value)))
     inbox = yield sends
 
+    shares = filter_tags(inbox, tags)
     values = []
-    for coin in coins:
-        received = filter_tag(inbox, "expose/" + coin.coin_id)
+    for coin, tag in zip(coins, tags):
+        received = shares[tag]
         points = [
             (field.element_point(src), value)
             for src, value in sorted(received.items())

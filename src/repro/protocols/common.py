@@ -5,7 +5,10 @@ Wire conventions
 Every payload is a ``(tag, body)`` pair whose ``tag`` is a string unique to
 one protocol phase (e.g. ``"coingen/nu"``).  Honest programs filter their
 inbox by tag, so stray or malicious messages with foreign tags are simply
-ignored — exactly the robustness the synchronous model requires.
+ignored — exactly the robustness the synchronous model requires.  A
+program reading several tags from one inbox makes one :func:`filter_tags`
+call rather than one :func:`filter_tag` scan per tag.  Both match by
+:func:`~repro.net.guards.inbox_tag`, the rule quorum guards count by.
 
 Bodies consist only of ints, strings, and (nested) tuples, so they are
 hashable (needed for vote counting) and meterable (see
@@ -14,9 +17,10 @@ hashable (needed for vote counting) and meterable (see
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.fields.base import Element, Field
+from repro.net.guards import inbox_tag
 
 
 def filter_tag(inbox: Dict[Any, List[Any]], tag: str) -> Dict[int, Any]:
@@ -26,13 +30,30 @@ def filter_tag(inbox: Dict[Any, List[Any]], tag: str) -> Dict[int, Any]:
         if not isinstance(src, int):
             continue  # e.g. the simulator's rush_peek entry
         for payload in payloads:
-            if (
-                isinstance(payload, tuple)
-                and len(payload) == 2
-                and payload[0] == tag
-            ):
+            if inbox_tag(payload) == tag:
                 out[src] = payload[1]
                 break
+    return out
+
+
+def filter_tags(
+    inbox: Dict[Any, List[Any]], tags: Iterable[str]
+) -> Dict[str, Dict[int, Any]]:
+    """``{tag: filter_tag(inbox, tag)}`` for every tag in ``tags``, in one pass.
+
+    Reading k tags with k :func:`filter_tag` calls scans the inbox k
+    times; a batch of M coin exposures would scan n·M payloads M times
+    per receiver.  This reads each payload once and keeps, per tag, the
+    first body each source sent under it.
+    """
+    out: Dict[str, Dict[int, Any]] = {tag: {} for tag in tags}
+    for src, payloads in inbox.items():
+        if not isinstance(src, int):
+            continue  # e.g. the simulator's rush_peek entry
+        for payload in payloads:
+            received = out.get(inbox_tag(payload))
+            if received is not None and src not in received:
+                received[src] = payload[1]
     return out
 
 
