@@ -311,17 +311,22 @@ def bench_coin_expose(results, smoke):
 def bench_expose_many(results, n, t, batch_sizes):
     """Per-coin wall of one batched ``expose_many`` round at two batch sizes.
 
-    Exposure should cost each receiver one inbox pass plus M decodes, so
-    the per-coin wall must not grow with M; the speedup key
-    ``coin_expose_many_per_coin_small_vs_large_M`` (small-batch over
+    Exposure costs each receiver one inbox pass plus one bulk decode of
+    all M coins, so the per-coin wall must not grow with M; the speedup
+    key ``coin_expose_many_per_coin_small_vs_large_M`` (small-batch over
     large-batch per-coin wall) drops well below 1 when the inbox read
-    goes quadratic in M.  Dealer coins keep Coin-Gen out of the timing.
+    goes quadratic in M.  Each row also carries the round's field ops per
+    coin (all receivers, warm interpolation cache), which are
+    deterministic and equal at both sizes: batching the decodes does not
+    change what they compute.  Dealer coins keep Coin-Gen out of the
+    timing.
     """
     from repro.core.dprbg import SharedCoinSystem
     from repro.core.seed import TrustedDealer
 
     field = GF2k(32)
     batches = []
+    ops = {}
     for M in batch_sizes:
         dealer = TrustedDealer(field, n, t, seed=11)
         coins = dealer.deal_seed(M)
@@ -332,6 +337,9 @@ def bench_expose_many(results, n, t, batch_sizes):
             assert system.expose_many(coins) == expected
 
         expose_batch()  # warm-up (interpolation weights, field tables)
+        before = field.counter.snapshot()
+        expose_batch()
+        ops[M] = field.counter.delta(before)
         batches.append((M, expose_batch))
     # The sizes take turns, about as many coins each per turn, and each
     # keeps its best wall: a slow spell of the machine then hits both
@@ -359,6 +367,10 @@ def bench_expose_many(results, n, t, batch_sizes):
                 "M": M,
                 "wall_s": best[M],
                 "per_coin_s": best[M] / M,
+                "muls": ops[M].muls / M,
+                "adds": ops[M].adds / M,
+                "invs": ops[M].invs / M,
+                "interpolations": ops[M].interpolations / M,
             }
         )
 

@@ -533,14 +533,15 @@ def replay(log: FlightLog, field=None, t: Optional[int] = None) -> ReplayResult:
     Payloads were codec round-tripped at load time; here the per-round
     inboxes are rebuilt exactly as the runtime built them, and every
     Coin-Expose message stream is pushed through the real
-    :func:`~repro.protocols.coin_expose.decode_exposed` decoder — per
-    receiver view, so equivocated shares produce the same (possibly
-    divergent) values the live players saw.
+    :func:`~repro.protocols.coin_expose.decode_exposed_many` decoder, one
+    call per receiver and round as in the live run, so equivocated
+    shares produce the same (possibly divergent) values the live players
+    saw.
 
     ``field`` defaults to the log's recorded field spec; expose decoding
     is skipped when neither is available.  ``t`` defaults to the log's.
     """
-    from repro.protocols.coin_expose import decode_exposed
+    from repro.protocols.coin_expose import decode_exposed_many
     from repro.protocols.common import valid_element
 
     if field is None and log.field is not None:
@@ -573,16 +574,19 @@ def replay(log: FlightLog, field=None, t: Optional[int] = None) -> ReplayResult:
                         shares.setdefault(coin_id, {}).setdefault(
                             src, payload[1]
                         )
-            for coin_id, by_sender in sorted(shares.items()):
-                points = [
+            views = sorted(shares.items())
+            values = decode_exposed_many(field, [
+                [
                     (field.element_point(src), value)
                     for src, value in sorted(by_sender.items())
                     if valid_element(field, value)
                 ]
+                for _coin_id, by_sender in views
+            ], t)
+            for (coin_id, by_sender), value in zip(views, values):
                 decodes.append(ExposeDecode(
                     run=event.run, round=event.round, coin_id=coin_id,
-                    receiver=receiver,
-                    value=decode_exposed(field, points, t),
+                    receiver=receiver, value=value,
                     senders=tuple(sorted(by_sender)),
                 ))
     return ReplayResult(log=log, inboxes=inboxes, tags=tags,

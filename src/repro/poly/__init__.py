@@ -25,7 +25,11 @@ from repro.poly.barycentric import (
     interpolation_mode,
     shared_cache,
 )
-from repro.poly.berlekamp_welch import berlekamp_welch, DecodingError
+from repro.poly.berlekamp_welch import (
+    DecodingError,
+    berlekamp_welch,
+    berlekamp_welch_many,
+)
 
 __all__ = [
     "Polynomial",
@@ -40,5 +44,6 @@ __all__ = [
     "interpolation_mode",
     "shared_cache",
     "berlekamp_welch",
+    "berlekamp_welch_many",
     "DecodingError",
 ]

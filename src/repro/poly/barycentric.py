@@ -186,17 +186,42 @@ class _NodeSet:
 
     def polynomial(self, points: Sequence[Point]) -> Polynomial:
         """The full interpolating polynomial (inversion-free on hit)."""
+        return self.polynomials([points])[0]
+
+    def polynomials(
+        self, point_sets: Sequence[Sequence[Point]]
+    ) -> List[Polynomial]:
+        """The interpolating polynomial of every set, in n wide sweeps.
+
+        Sweep i adds ``y_i * L_i(x)`` to every set whose i-th value is
+        nonzero with one :meth:`Field.fma_many`, so a set pays n
+        multiplications and n additions per nonzero value (zero values
+        are skipped) however many sets share the sweep.
+        """
         f = self.field
-        rows = self.basis_rows()
-        ys = self._aligned_ys(points)
+        zero = f.zero
         n = len(self.xs)
-        acc = [f.zero] * n
-        for i, y in enumerate(ys):
-            if y == f.zero:
+        count = len(point_sets)
+        # columns[i]: every set's value at the i-th abscissa
+        columns = zip(*[self._aligned_ys(points) for points in point_sets])
+        acc = [zero] * (n * count)
+        for row, ys in zip(self.basis_rows(), columns):
+            if zero not in ys:  # the usual sweep: every set takes part
+                acc = f.fma_many(
+                    row * len(ys), [y for y in ys for _ in row], acc
+                )
                 continue
-            scaled = f.mul_many(rows[i], [y] * n)
-            acc = [f.add(a, s) for a, s in zip(acc, scaled)]
-        return Polynomial(f, acc)
+            live = [g for g, y in enumerate(ys) if y != zero]
+            if not live:
+                continue
+            swept = f.fma_many(
+                row * len(live),
+                [ys[g] for g in live for _ in row],
+                [a for g in live for a in acc[g * n:(g + 1) * n]],
+            )
+            for slot, g in enumerate(live):
+                acc[g * n:(g + 1) * n] = swept[slot * n:(slot + 1) * n]
+        return [Polynomial(f, acc[g * n:(g + 1) * n]) for g in range(count)]
 
 
 class InterpolationCache:

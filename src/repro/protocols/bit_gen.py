@@ -29,15 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
-from repro.poly import barycentric
-from repro.poly.berlekamp_welch import (
-    DecodingError,
-    berlekamp_welch,
-    full_decode,
-    max_correctable_errors,
-    optimistic_candidate,
-)
-from repro.poly.lagrange import _require_distinct
+from repro.poly.berlekamp_welch import decode_quorums
 from repro.poly.polynomial import Polynomial, evaluate_polys, horner_batch
 from repro.net.metrics import NetworkMetrics
 from repro.net.transport import multicast, unicast
@@ -75,64 +67,19 @@ def decode_batched(field: Field, points, t: int, n: int) -> Optional[Polynomial]
     Such a polynomial is unique when it exists: two candidates would agree
     on >= 2(n-t) - n = n - 2t > t points.
     """
-    if len(points) < n - t:
-        return None
-    max_errors = len(points) - (n - t)
-    try:
-        poly, good = berlekamp_welch(field, points, t, max_errors)
-    except DecodingError:
-        return None
-    if len(good) < n - t:
-        return None
-    return poly
+    return decode_batched_many(field, [points], t, n)[0]
 
 
 def decode_batched_many(field: Field, point_sets, t: int, n: int):
     """:func:`decode_batched` over many independent point sets at once.
 
-    Result- and op-count-identical to decoding each set in turn, but the
-    optimistic Berlekamp-Welch candidates of every set are verified in a
-    single bulk evaluation sweep (grouped by shared evaluation points),
-    so vectorized field backends see one wide kernel instead of many
-    short ones.  Only sets whose candidate fails the match count — i.e.
-    actually-corrupted dealings — pay the full key-equation decode.
+    One :func:`~repro.poly.berlekamp_welch.berlekamp_welch_many` call, so
+    the optimistic candidates of every set are built and verified in
+    wide kernels and only actually-corrupted dealings pay the full
+    key-equation decode; results and op counts equal decoding each set
+    in turn.
     """
-    if barycentric.cache_mode() == "off":
-        return [decode_batched(field, pts, t, n) for pts in point_sets]
-    results: list = [None] * len(point_sets)
-    attempted = []  # (index, points, candidate)
-    for idx, pts in enumerate(point_sets):
-        pts = list(pts)
-        if len(pts) < n - t:
-            continue
-        xs = [x for x, _ in pts]
-        _require_distinct(xs)
-        field.counter.interpolations += 1
-        attempted.append((idx, pts, optimistic_candidate(field, pts[: t + 1])))
-    by_xs: Dict[tuple, list] = {}
-    for entry in attempted:
-        by_xs.setdefault(tuple(x for x, _ in entry[1]), []).append(entry)
-    for xs, entries in by_xs.items():
-        rows = evaluate_polys(
-            field, [candidate for _, _, candidate in entries], list(xs)
-        )
-        for (idx, pts, candidate), values in zip(entries, rows):
-            max_errors = min(
-                len(pts) - (n - t), max_correctable_errors(len(pts), t)
-            )
-            good = [
-                i for i, (v, (_, y)) in enumerate(zip(values, pts)) if v == y
-            ]
-            if len(good) < len(pts) - max_errors:
-                # corrupted head: same fall-through as berlekamp_welch,
-                # without re-paying the optimistic attempt
-                try:
-                    candidate, good = full_decode(field, pts, t, max_errors)
-                except DecodingError:
-                    continue
-            if len(good) >= n - t:
-                results[idx] = candidate
-    return results
+    return decode_quorums(field, point_sets, t, [n - t] * len(point_sets))
 
 
 def bit_gen_program(

@@ -23,8 +23,13 @@ Batched exposure
 :func:`coin_expose_many` exposes M coins in the same single round.  Each
 receiver reads all M coins' shares from its inbox in one pass
 (:func:`~repro.protocols.common.filter_tags`), so a batch costs it
-O(n·M) payload checks plus M decodes — not the O(n·M²) of one inbox scan
-per coin.
+O(n·M) payload checks — not the O(n·M²) of one inbox scan per coin.  It
+then decodes all M coins with one
+:func:`~repro.poly.berlekamp_welch.berlekamp_welch_many` call
+(:func:`decode_exposed_many`): t+1 candidate-building sweeps and one
+evaluation sweep per coefficient, each as wide as the batch, instead of
+M decodes whose kernels are only t+1 or n elements wide.  The field ops
+are exactly those of M separate decodes.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Generator, Optional
 
 from repro.fields.base import Element, Field
 from repro.obs.phases import register_tag_phase
-from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
+from repro.poly.berlekamp_welch import decode_quorums
 from repro.net.transport import Send, multicast
 from repro.protocols.common import filter_tags, valid_element
 
@@ -91,7 +96,8 @@ def coin_expose_many(field: Field, me: int, coins) -> Generator:
     the ``shared_challenge=False`` ablation of Coin-Gen, where every
     Bit-Gen instance consumes its own challenge coin, and by
     ``SharedCoinSystem.expose_many``.  Every coin's shares are read from
-    the inbox in one :func:`~repro.protocols.common.filter_tags` pass.
+    the inbox in one :func:`~repro.protocols.common.filter_tags` pass and
+    decoded by one :func:`decode_exposed_many` call.
     """
     tags = ["expose/" + coin.coin_id for coin in coins]
     sends = []
@@ -101,40 +107,60 @@ def coin_expose_many(field: Field, me: int, coins) -> Generator:
     inbox = yield sends
 
     shares = filter_tags(inbox, tags)
-    values = []
+    # {senders: {src: evaluation point}} in sender order, built once per
+    # distinct qualified set (a batch almost always has one)
+    points_of: dict = {}
+    point_sets = []
     for coin, tag in zip(coins, tags):
+        qualified = points_of.get(coin.senders)
+        if qualified is None:
+            qualified = points_of[coin.senders] = {
+                src: field.element_point(src) for src in sorted(coin.senders)
+            }
         received = shares[tag]
-        points = [
-            (field.element_point(src), value)
-            for src, value in sorted(received.items())
-            if src in coin.senders and valid_element(field, value)
-        ]
-        values.append(decode_exposed(field, points, coin.t))
+        point_sets.append([
+            (point, received[src])
+            for src, point in qualified.items()
+            if src in received and valid_element(field, received[src])
+        ])
+    values: list = [None] * len(coins)
+    for t in {coin.t for coin in coins}:
+        batch = [i for i, coin in enumerate(coins) if coin.t == t]
+        decoded = decode_exposed_many(field, [point_sets[i] for i in batch], t)
+        for i, value in zip(batch, decoded):
+            values[i] = value
     return values
 
 
 def decode_exposed(field: Field, points, t: int) -> Optional[Element]:
-    """Robustly decode the exposed shares; None when undecodable.
+    """Robustly decode one coin's exposed shares; None when undecodable.
 
-    The Berlekamp-Welch call below takes its optimistic fast path in the
-    common no-fault case: an inversion-free cached barycentric build
-    through the first t+1 shares, checked against the rest.  Because the
-    bootstrap source exposes many coins against the *same* qualified set,
-    every exposure after the first reuses the cached weights — the
-    per-coin cost drops to one dot product plus the match check.
+    The single-set spelling of :func:`decode_exposed_many`.
     """
-    n_valid = len(points)
-    threshold = max(2 * t + 1, n_valid - t) if t > 0 else n_valid
-    if n_valid == 0 or n_valid < threshold:
-        return None
-    max_errors = n_valid - threshold
-    try:
-        poly, good = berlekamp_welch(field, points, t, max_errors)
-    except DecodingError:
-        return None
-    if len(good) < threshold:
-        return None
-    return poly(field.zero)
+    return decode_exposed_many(field, [points], t)[0]
+
+
+def decode_exposed_many(field: Field, point_sets, t: int) -> list:
+    """``F(0)`` of every coin's exposed shares (None when undecodable).
+
+    A coin's polynomial is accepted only if it matches at least
+    ``max(2t+1, N-t)`` of its ``N`` valid shares (the robust acceptance
+    rule above).  All coins go through one
+    :func:`~repro.poly.berlekamp_welch.berlekamp_welch_many` call: in the
+    common no-fault case each candidate is an inversion-free cached
+    barycentric build through the first t+1 shares, built and checked
+    against the rest in kernels as wide as the batch.  The bootstrap
+    source exposes many coins against the *same* qualified set, so every
+    exposure after the first reuses the cached weights.
+    """
+    quorums = [
+        max(2 * t + 1, len(points) - t) if t > 0 else len(points)
+        for points in point_sets
+    ]
+    return [
+        None if poly is None else poly(field.zero)
+        for poly in decode_quorums(field, point_sets, t, quorums)
+    ]
 
 
 def coin_to_index(field: Field, value: Element, n: int) -> int:
